@@ -23,13 +23,12 @@ backend at 8 lanes of distinct input sets, reporting per-dataset
 throughput against a lanes=1 batch.  A dedicated ``divergent_lanes``
 section runs ``gsumif`` — whose data-dependent branch diverges
 immediately, so pre-mask the batch fell back to scalar and gained
-nothing — at 64 lanes of divergent seeds through **both** mask-loop
-data planes (numpy lane columns and the pure-Python tuple fallback),
+nothing — at 64 lanes of divergent seeds through the mask loop,
 reporting per-dataset throughput against the 64 scalar codegen runs it
 replaces and against the event backend's sequential per-lane path.  On
 fully divergent control every comb block keeps at least one armed lane
-nearly every cycle, so per-block Python dispatch dominates either
-plane and per-dataset cost lands at ~parity with scalar codegen; the
+nearly every cycle, so per-block Python dispatch dominates and
+per-dataset cost lands at ~parity with scalar codegen; the
 asserted floors pin that parity (no regression back toward the
 fallback's per-lane engine setup cost) and the multiple over
 sequential event execution.
@@ -236,21 +235,21 @@ def _measure_lanes(lowered, repeats: int = 2):
 
 
 def _measure_divergent(lowered, repeats: int = 2):
-    """Mask-lane throughput on control-divergent input sets, per plane.
+    """Mask-lane throughput on control-divergent input sets.
 
-    Runs the 64-lane divergent batch through **both** mask-loop data
-    planes — the numpy lane-column plane (lane-masked arming +
-    vectorized compute) and the pure-Python tuple fallback — against
-    two baselines: the same seeds one at a time on the scalar codegen
+    Runs the 64-lane divergent batch through the mask loop against two
+    baselines: the same seeds one at a time on the scalar codegen
     backend (the work the batch replaces), and the event backend's
-    sequential per-lane batch.  Gating correctness for each plane:
-    every lane must match its scalar run bit-for-bit with zero
-    scalar-fallback lanes and exactly one mask promotion per batch.
+    sequential per-lane batch.  Gating correctness: every lane must
+    match its scalar run bit-for-bit with zero scalar-fallback lanes and
+    exactly one mask promotion per batch.  The best of ``repeats``
+    batches is reported, so the mask module's one-time compile (first
+    batch only) stays out of the steady-state figure.
 
     Honest figures: on *fully* divergent control every comb block has
     some armed lane nearly every cycle, so the mask loop's block count
     stays at full occupancy and the per-block Python dispatch dominates
-    both planes — per-dataset throughput lands at ~scalar parity
+    — per-dataset throughput lands at ~scalar parity
     (~0.9–1.2x, host noise ±15%), not the vectorized multiple; the
     structural win is vs the event backend's sequential per-lane path
     (~3x) and vs the pre-mask scalar fallback this mode replaced
@@ -276,30 +275,21 @@ def _measure_divergent(lowered, repeats: int = 2):
         "sim_wall_s_scalar_sum": round(scalar_wall, 4),
         "sim_wall_s_event_sequential": round(event_wall, 4),
     }
-    for plane in ("numpy", "tuple"):
-        wall = math.inf
-        for _ in range(repeats):
-            runs = simulate_kernel_batch(
-                lowered, DIVERGENT_SEEDS, max_cycles=4_000_000,
-                backend="codegen", data_plane=plane,
-            )
-            wall = min(wall, runs[0].sim_wall_s)
-        for seed, run in zip(DIVERGENT_SEEDS, runs):
-            assert run.data_plane == plane, (seed, run.data_plane)
-            assert run.fallback_lanes == 0, (seed, run.fallback_lanes)
-            assert run.mask_promotions == 1, (seed, run.mask_promotions)
-            assert (run.cycles, run.fires) == scalar[seed], seed
-        col = {
-            "sim_wall_s_lanes64": round(wall, 4),
-            "speedup_per_dataset": round(scalar_wall / wall, 2),
-            "speedup_vs_event_sequential": round(event_wall / wall, 2),
-        }
-        if plane == "numpy":
-            out["divergence"] = runs[0].divergence
-            out["data_plane"] = plane
-            out.update(col)  # top level = the active (numpy) plane
-        else:
-            out["tuple_plane"] = col
+    wall = math.inf
+    for _ in range(repeats):
+        runs = simulate_kernel_batch(
+            lowered, DIVERGENT_SEEDS, max_cycles=4_000_000,
+            backend="codegen",
+        )
+        wall = min(wall, runs[0].sim_wall_s)
+    for seed, run in zip(DIVERGENT_SEEDS, runs):
+        assert run.fallback_lanes == 0, (seed, run.fallback_lanes)
+        assert run.mask_promotions == 1, (seed, run.mask_promotions)
+        assert (run.cycles, run.fires) == scalar[seed], seed
+    out["divergence"] = runs[0].divergence
+    out["sim_wall_s_lanes64"] = round(wall, 4)
+    out["speedup_per_dataset"] = round(scalar_wall / wall, 2)
+    out["speedup_vs_event_sequential"] = round(event_wall / wall, 2)
     return out
 
 
@@ -400,15 +390,11 @@ def test_batched_lanes_speedup_per_dataset(measurements):
 
 
 def test_divergent_mask_lanes_speedup_per_dataset(divergent_measurement):
-    """Divergent-control floors, per data plane.  On *fully* divergent
-    control every comb block has an armed lane nearly every cycle, so
-    block count stays at full occupancy and per-block Python dispatch
-    dominates — the numpy plane's lane-masked arming and vectorized
-    compute cannot shrink the block count, only the per-block work, and
-    at the mask loop's measured ~1.8 armed lanes per patch the sparse
-    bit-scan already near-optimal.  Honest per-dataset figures vs
-    scalar codegen: ~0.9–1.2x both planes (host noise ±15%), far short
-    of the 3x vectorization target; the structural win is vs the event
+    """Divergent-control floors.  On *fully* divergent control every
+    comb block has an armed lane nearly every cycle, so block count
+    stays at full occupancy and per-block Python dispatch dominates.
+    Honest per-dataset figures vs scalar codegen: ~0.9–1.2x (host noise
+    ±15%); the structural win is vs the event
     backend's sequential per-lane path (~3x) and vs the pre-mask
     scalar fallback (per-lane engine setup, no bit-identity under one
     engine).  The parity floors guard against regressing below the
@@ -418,9 +404,6 @@ def test_divergent_mask_lanes_speedup_per_dataset(divergent_measurement):
         divergent_measurement)
     assert divergent_measurement["speedup_vs_event_sequential"] >= 2.0, (
         divergent_measurement)
-    tup = divergent_measurement["tuple_plane"]
-    assert tup["speedup_per_dataset"] >= 0.7, divergent_measurement
-    assert tup["speedup_vs_event_sequential"] >= 2.0, divergent_measurement
 
 
 def test_fast_forward_exact_and_engaged_on_stream(stream_measurement):

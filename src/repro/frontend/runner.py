@@ -39,11 +39,6 @@ class KernelRun:
     fallback_lanes: int = 0
     mask_promotions: int = 0
     divergence: Optional[str] = None
-    #: Which data representation executed the run: ``"scalar"`` for the
-    #: one-lane backends, ``"tuple"`` or ``"numpy"`` for batched engines
-    #: (the mask loop's lane representation).  Provenance only — the
-    #: planes are bit-identical by construction.
-    data_plane: str = "scalar"
 
 
 def default_inputs(kernel: Kernel, seed: int = 7) -> Dict[str, np.ndarray]:
@@ -151,7 +146,6 @@ def simulate_kernel(
         arrays=arrays,
         reference=reference,
         sim_wall_s=wall,
-        data_plane=getattr(engine, "data_plane", "scalar"),
     )
 
 
@@ -163,7 +157,6 @@ def simulate_kernel_batch(
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
     fast_forward: Optional[bool] = None,
-    data_plane: Optional[str] = None,
 ) -> List[KernelRun]:
     """Run one input set per seed through a single batched engine.
 
@@ -179,12 +172,6 @@ def simulate_kernel_batch(
     per-lane time to report).  Observers (trace/profile/sanitizer) and
     fast-forward are scalar-only; requesting them here raises
     :class:`SimulationError`.
-
-    ``data_plane`` pins the mask loop's lane representation (``"numpy"``
-    or ``"tuple"``); ``None`` auto-selects (numpy when installed, the
-    circuit is eligible and ``REPRO_SIM_NO_NUMPY`` is unset).  Either
-    plane is bit-identical; the choice is recorded on each returned
-    run's ``data_plane`` field.
     """
     kernel = lowered.kernel
     lanes = len(seeds)
@@ -205,7 +192,7 @@ def simulate_kernel_batch(
 
     engine = create_engine(
         lowered.circuit, backend=backend, lanes=lanes, memories=memories,
-        sanitize=sanitize, fast_forward=fast_forward, data_plane=data_plane,
+        sanitize=sanitize, fast_forward=fast_forward,
     )
     end_name = lowered.end_sink
 
@@ -264,6 +251,5 @@ def simulate_kernel_batch(
             fallback_lanes=fallback_lanes,
             mask_promotions=mask_promotions,
             divergence=div_site,
-            data_plane=getattr(engine, "data_plane", "scalar"),
         ))
     return runs

@@ -130,7 +130,11 @@ class LintContext:
     that produced it (``CrushResult`` / ``InOrderResult`` / ``NaiveResult``
     or None), the performance-critical CFCs, and — for the ``FL`` rules —
     an optional expected steady-state II (from a recorded golden) that
-    the statically predicted II is regression-checked against."""
+    the statically predicted II is regression-checked against.
+
+    ``flow`` / ``memdep`` adopt analyses the caller already ran over the
+    same circuit and kernel, so the pipeline pays for each once per
+    prepared circuit; when omitted they are computed on first use."""
 
     def __init__(
         self,
@@ -139,17 +143,19 @@ class LintContext:
         cfcs: Optional[Sequence["CFC"]] = None,
         expected_ii: Any = None,
         kernel: Any = None,
+        flow: Optional["FlowAnalysis"] = None,
+        memdep: Optional["MemDepReport"] = None,
     ) -> None:
         self.circuit = circuit
         self.decisions = decisions
         self._cfcs = cfcs
         self._occupancies: Optional[Dict[str, "Fraction"]] = None
         self.expected_ii = expected_ii
-        self._flow: Optional["FlowAnalysis"] = None
+        self._flow = flow
         #: Kernel IR the circuit was lowered from (None when linting a
         #: bare circuit) — the ``MD`` rules need the source subscripts.
         self.kernel = kernel
-        self._memdep: Optional["MemDepReport"] = None
+        self._memdep = memdep
 
     @property
     def cfcs(self) -> List["CFC"]:
@@ -226,6 +232,8 @@ def run_lint(
     config: Optional[LintConfig] = None,
     expected_ii: Any = None,
     kernel: Any = None,
+    flow: Optional["FlowAnalysis"] = None,
+    memdep: Optional["MemDepReport"] = None,
 ) -> LintReport:
     """Run every enabled rule over ``circuit``; return the report.
 
@@ -235,7 +243,9 @@ def run_lint(
     ``expected_ii`` an optional golden steady-state II (``Fraction``)
     the static prediction is regression-checked against (rule FL005);
     ``kernel`` the kernel IR the circuit was lowered from (enables the
-    ``MD`` memory-dependence rules, which need source subscripts).
+    ``MD`` memory-dependence rules, which need source subscripts);
+    ``flow`` / ``memdep`` precomputed token-flow and memory-dependence
+    analyses of this circuit and kernel (computed on demand otherwise).
     Internal rule faults are re-raised as
     :class:`~repro.errors.LintError` — a rule never fails silently and
     never trips a bare assert.
@@ -253,7 +263,7 @@ def run_lint(
     config = config or LintConfig()
     ctx = LintContext(
         circuit, decisions=decisions, cfcs=cfcs, expected_ii=expected_ii,
-        kernel=kernel,
+        kernel=kernel, flow=flow, memdep=memdep,
     )
     report = LintReport(circuit=circuit.name)
     for code in sorted(RULES):

@@ -69,12 +69,6 @@ class TechniqueResult:
     fallback_lanes: int = 0
     mask_promotions: int = 0
     divergence: str = ""
-    #: Data representation the simulation executed with: ``"scalar"``
-    #: for one-lane runs, ``"tuple"`` or ``"numpy"`` for batched rows
-    #: (the mask loop's lane representation; see
-    #: :mod:`repro.sim.npplane`).  Provenance, not a metric — the planes
-    #: are bit-identical.
-    data_plane: str = "scalar"
     #: Statically predicted steady-state II from the token-flow analyzer
     #: (:mod:`repro.analysis.tokenflow`), as an exact ``Fraction`` string
     #: (``""`` when the kernel has no performance-critical CFC).  A sound
@@ -138,7 +132,6 @@ class TechniqueResult:
             "fallback_lanes": self.fallback_lanes,
             "mask_promotions": self.mask_promotions,
             "divergence": self.divergence,
-            "data_plane": self.data_plane,
             "predicted_ii": self.predicted_ii,
             "flow_diags": self.flow_diags,
             "mem_class": self.mem_class,
@@ -147,6 +140,9 @@ class TechniqueResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TechniqueResult":
+        """Inverse of :meth:`to_dict`.  Keys this class no longer has
+        (e.g. ``data_plane``, written by older sweeps) are ignored, so
+        earlier JSON artifacts still load."""
         est = data.get("estimate")
         return cls(
             kernel=data["kernel"],
@@ -170,7 +166,6 @@ class TechniqueResult:
             fallback_lanes=data.get("fallback_lanes", 0),
             mask_promotions=data.get("mask_promotions", 0),
             divergence=data.get("divergence", ""),
-            data_plane=data.get("data_plane", "scalar"),
             predicted_ii=data.get("predicted_ii", ""),
             flow_diags=data.get("flow_diags", 0),
             mem_class=data.get("mem_class", ""),
@@ -257,11 +252,14 @@ def prepare_circuit(
     )
 
 
-def lint_prepared(prep: PreparedRun, config=None, expected_ii=None):
+def lint_prepared(prep: PreparedRun, config=None, expected_ii=None,
+                  flow=None, memdep=None):
     """Run ``repro.lint`` over a :class:`PreparedRun`'s circuit.
 
     ``expected_ii`` (an optional recorded golden steady-state II) arms
-    the FL005 predicted-II regression check.
+    the FL005 predicted-II regression check; ``flow`` / ``memdep`` are
+    :func:`predict_ii` / :func:`analyze_memdep` results to reuse instead
+    of recomputing them inside the lint run.
     """
     from .lint import run_lint
 
@@ -272,6 +270,8 @@ def lint_prepared(prep: PreparedRun, config=None, expected_ii=None):
         config=config,
         expected_ii=expected_ii,
         kernel=prep.lowered.kernel,
+        flow=flow,
+        memdep=memdep,
     )
 
 
@@ -290,18 +290,6 @@ def predict_ii(prep: PreparedRun):
     )
 
 
-def _flow_columns(prep: PreparedRun, report) -> "tuple[str, int]":
-    """The (predicted_ii, flow_diags) provenance pair for a result row."""
-    analysis = predict_ii(prep)
-    predicted = "" if analysis.ii is None else str(analysis.ii)
-    flow_diags = 0
-    if report is not None:
-        flow_diags = sum(
-            1 for d in report.diagnostics if d.code.startswith("FL")
-        )
-    return predicted, flow_diags
-
-
 def analyze_memdep(prep: PreparedRun):
     """Static memory-dependence analysis of a prepared run's kernel.
 
@@ -314,15 +302,32 @@ def analyze_memdep(prep: PreparedRun):
     return analyze_kernel(prep.lowered.kernel)
 
 
-def _memdep_columns(prep: PreparedRun, report) -> "tuple[str, int]":
-    """The (mem_class, memdep_diags) provenance pair for a result row."""
-    mem_class = analyze_memdep(prep).mem_class
-    memdep_diags = 0
-    if report is not None:
-        memdep_diags = sum(
-            1 for d in report.diagnostics if d.code.startswith("MD")
-        )
-    return mem_class, memdep_diags
+def _lint_and_analyze(prep: PreparedRun, lint: str) -> Dict[str, Any]:
+    """Lint gate plus the static-analysis columns of a result row.
+
+    Token-flow and memory-dependence analysis run once per prepared
+    circuit: the lint run's ``FL``/``MD`` rules reuse the same results
+    that fill ``predicted_ii`` and ``mem_class``.
+    """
+    flow = predict_ii(prep)
+    memdep = analyze_memdep(prep)
+    cols: Dict[str, Any] = {
+        "lint_errors": 0, "lint_warnings": 0, "flow_diags": 0,
+        "memdep_diags": 0,
+        "predicted_ii": "" if flow.ii is None else str(flow.ii),
+        "mem_class": memdep.mem_class,
+    }
+    if lint != "off":
+        from .lint import raise_on_errors
+
+        report = lint_prepared(prep, flow=flow, memdep=memdep)
+        raise_on_errors(report, strict=(lint == "strict"))
+        cols["lint_errors"] = len(report.errors)
+        cols["lint_warnings"] = len(report.warnings)
+        codes = [d.code for d in report.diagnostics]
+        cols["flow_diags"] = sum(1 for c in codes if c.startswith("FL"))
+        cols["memdep_diags"] = sum(1 for c in codes if c.startswith("MD"))
+    return cols
 
 
 def run_technique(
@@ -369,21 +374,9 @@ def run_technique(
         kernel_name, technique, style=style, scale=scale, **size_overrides
     )
     circuit = prep.circuit
-
-    lint_errors = lint_warnings = 0
-    report = None
-    if lint != "off":
-        from .lint import raise_on_errors
-
-        report = lint_prepared(prep)
-        lint_errors = len(report.errors)
-        lint_warnings = len(report.warnings)
-        raise_on_errors(report, strict=(lint == "strict"))
-    predicted_ii, flow_diags = _flow_columns(prep, report)
-    mem_class, memdep_diags = _memdep_columns(prep, report)
+    cols = _lint_and_analyze(prep, lint)
 
     cycles = 0
-    data_plane = "scalar"
     if simulate:
         run = simulate_kernel(
             prep.lowered,
@@ -394,20 +387,10 @@ def run_technique(
             seed=seed,
         )
         cycles = run.cycles
-        data_plane = run.data_plane
 
     est = estimate_circuit(circuit)
-    return _result_row(
-        prep, est, cycles, seed,
-        sim_backend=sim_backend,
-        lint_errors=lint_errors,
-        lint_warnings=lint_warnings,
-        data_plane=data_plane,
-        predicted_ii=predicted_ii,
-        flow_diags=flow_diags,
-        mem_class=mem_class,
-        memdep_diags=memdep_diags,
-    )
+    return _result_row(prep, est, cycles, seed, sim_backend=sim_backend,
+                       **cols)
 
 
 def _result_row(
@@ -421,7 +404,6 @@ def _result_row(
     fallback_lanes: int = 0,
     mask_promotions: int = 0,
     divergence: str = "",
-    data_plane: str = "scalar",
     predicted_ii: str = "",
     flow_diags: int = 0,
     mem_class: str = "",
@@ -450,7 +432,6 @@ def _result_row(
         fallback_lanes=fallback_lanes,
         mask_promotions=mask_promotions,
         divergence=divergence,
-        data_plane=data_plane,
         predicted_ii=predicted_ii,
         flow_diags=flow_diags,
         mem_class=mem_class,
@@ -489,18 +470,7 @@ def run_technique_batch(
     prep = prepare_circuit(
         kernel_name, technique, style=style, scale=scale, **size_overrides
     )
-
-    lint_errors = lint_warnings = 0
-    report = None
-    if lint != "off":
-        from .lint import raise_on_errors
-
-        report = lint_prepared(prep)
-        lint_errors = len(report.errors)
-        lint_warnings = len(report.warnings)
-        raise_on_errors(report, strict=(lint == "strict"))
-    predicted_ii, flow_diags = _flow_columns(prep, report)
-    mem_class, memdep_diags = _memdep_columns(prep, report)
+    cols = _lint_and_analyze(prep, lint)
 
     runs = simulate_kernel_batch(
         prep.lowered, seeds, max_cycles=max_cycles, backend=sim_backend,
@@ -511,16 +481,10 @@ def run_technique_batch(
         _result_row(
             prep, est, run.cycles, seed,
             sim_backend=sim_backend,
-            lint_errors=lint_errors,
-            lint_warnings=lint_warnings,
             fallback_lanes=run.fallback_lanes,
             mask_promotions=run.mask_promotions,
             divergence=run.divergence or "",
-            data_plane=run.data_plane,
-            predicted_ii=predicted_ii,
-            flow_diags=flow_diags,
-            mem_class=mem_class,
-            memdep_diags=memdep_diags,
+            **cols,
         )
         for seed, run in zip(seeds, runs)
     ]

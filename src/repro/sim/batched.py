@@ -18,9 +18,10 @@ therefore the *control* behaviour is shared, only the data differs.
   predicate) the generated code verifies the lanes agree; a disagreement
   raises :class:`~repro.errors.LaneDivergence`.  The generated-loop
   engines catch it (loop exit status 4) and **promote the batch to
-  mask-lane (MIMD) execution**: the same module's ``make_mask_loop``
-  re-runs the pass with every 1-bit control signal packed as a per-lane
-  bitmask integer, per-unit sequential state split per lane
+  mask-lane (MIMD) execution**: a second generated module's
+  ``make_mask_loop`` continues the pass with every 1-bit control signal
+  packed as a per-lane bitmask integer, per-unit sequential state split
+  per lane
   (:func:`~repro.sim.codegen_blocks.mask_state`), and a ``live`` mask
   giving each lane its own done/cycle-freeze bit.  Lanes keep executing
   in parallel through arbitrary control divergence; nothing falls back
@@ -42,15 +43,21 @@ recorded then); a *partial* mask is itself a divergence and promotes to
 mask mode, where the finished lanes' ``live`` bits are cleared and they
 coast with frozen state while the rest run to completion.
 
+The two generated modules are loaded independently: the lockstep
+module (``make_loop``) when the engine is built, the mask-loop module
+(``make_mask_loop``) only the first time a batch promotes, so batches
+that never diverge never pay for generating or compiling it.  Each
+module carries its own variant marker, so their cache keys are disjoint.
+
 Three batched backends mirror the scalar trio:
 
 ``BatchedCodegenEngine``
-    Runs the laned generated module, content-addressed in the same disk
-    cache as scalar modules (laned and scalar sources always differ, so
-    their keys can never collide).
+    Runs the laned generated modules, content-addressed in the same disk
+    cache as scalar modules (scalar, laned-lockstep and mask-loop
+    sources always differ, so their keys can never collide).
 ``BatchedCompiledEngine``
-    Runs the same laned program but compiles it in-process only (no disk
-    artifacts), mirroring the scalar compiled backend's contract.
+    Runs the same laned programs but compiles them in-process only (no
+    disk artifacts), mirroring the scalar compiled backend's contract.
 ``BatchedEventEngine``
     The reference: always executes lanes sequentially on the scalar
     event engine.  Slow and trivially correct — the differential anchor.
@@ -79,27 +86,16 @@ from ..errors import (
 from .codegen import (
     CodegenEngine,
     fast_forward_default,
+    generate_mask_source,
     generate_source,
     load_module,
     source_key,
-    unsupported_units,
 )
 from .codegen_blocks import mask_state
 from .compiled import CompiledEngine
 from .deadlock import diagnose
 from .engine import DEFAULT_DEADLOCK_WINDOW, Engine
 from .memory import Memory
-from .npplane import (
-    NO_NUMPY_ENV,
-    channel_kinds,
-    np_data_columns,
-    np_mask_state,
-    numpy_available,
-    numpy_disabled,
-    numpy_module,
-    plane_unsupported_reasons,
-    vector_ops,
-)
 from .sanitize import sanitize_default
 from .signal_graph import compile_schedule
 
@@ -353,7 +349,6 @@ class _LanedLoopEngine(BatchedEngineBase):
         sanitize: Optional[bool] = None,
         fast_forward: Optional[bool] = None,
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-        data_plane: Optional[str] = None,
     ):
         self._init_batched(
             circuit, lanes, memories, trace, profile, sanitize,
@@ -365,43 +360,6 @@ class _LanedLoopEngine(BatchedEngineBase):
         self._units = units
         for u in units:
             u.reset()
-
-        # Mask-loop data plane: "numpy" (vectorized columns + lane-masked
-        # arming) when available and bit-exact for this circuit, "tuple"
-        # (the pure-Python original) otherwise.  ``data_plane`` pins the
-        # choice; "numpy" fails loudly when the plane cannot run.
-        plane = "auto" if data_plane is None else data_plane
-        if plane not in ("auto", "numpy", "tuple"):
-            raise SimulationError(
-                f"unknown data plane {plane!r} "
-                "(use 'numpy', 'tuple' or None for auto)"
-            )
-        kinds = None
-        if plane != "tuple":
-            if numpy_disabled():
-                reasons = [f"${NO_NUMPY_ENV} forces the tuple plane"]
-            elif not numpy_available():
-                reasons = ["numpy is not installed (pip install .[fast])"]
-            else:
-                kinds = channel_kinds(circuit, schedule, units)
-                reasons = plane_unsupported_reasons(
-                    circuit, schedule, units, kinds
-                )
-            if reasons:
-                if plane == "numpy":
-                    raise SimulationError(
-                        "numpy data plane unavailable for this circuit: "
-                        + "; ".join(reasons)
-                    )
-                plane, kinds = "tuple", None
-            else:
-                plane = "numpy"
-        self.data_plane = plane
-        self._np_kinds = kinds
-        _log.info(
-            "batched %s engine: %s data plane, %d lanes",
-            self.backend, plane, lanes,
-        )
 
         nch = schedule.nch
         self.valid = bytearray(nch)
@@ -426,23 +384,23 @@ class _LanedLoopEngine(BatchedEngineBase):
         self._mv: Optional[List[int]] = None
         self._mr: Optional[List[int]] = None
         self._mstate: Optional[List[Optional[dict]]] = None
-        # Numpy-plane extras (promotion builds them when active).
-        self._npd: Optional[List[object]] = None
-        self._amasks: Optional[List[int]] = None
-        self._avmasks: Optional[List[int]] = None
-        self._vops: Optional[Dict[int, object]] = None
         self._live = 0
         self._fa = 0
         self._mask_loop = None
+        #: Cache key and load origin of the mask-loop module; None until
+        #: the first promotion loads it.
+        self.mask_codegen_key: Optional[str] = None
+        self.mask_codegen_origin: Optional[str] = None
 
-        source = generate_source(
-            circuit, schedule, lanes=True, data_plane=self.data_plane
-        )
+        source = generate_source(circuit, schedule, lanes=True)
         ns, key, origin = self._load(source)
         self.codegen_key = key
         self.codegen_origin = origin
-        self._ns = ns
         self._loop = ns["make_loop"](self)
+        _log.info(
+            "batched %s engine: %d lanes, lockstep module %s",
+            self.backend, lanes, origin,
+        )
 
     def _load(self, source: str):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -469,40 +427,20 @@ class _LanedLoopEngine(BatchedEngineBase):
         masks and re-arming every activation flag makes the mask loop's
         first pass recompute the handshake fixpoint from scratch, with
         semantics identical to engine initialization.
+
+        The mask-loop module is loaded here, so only batches that
+        actually diverge (or ``start_masked`` runs) ever generate or
+        compile it.
         """
         lb = self.lanes
         full = (1 << lb) - 1
-        sched = self.schedule
-        # Control bits -> lane bitmasks.
+        # Control bits -> lane bitmasks; data locals -> always lane tuples
+        # (``zt`` stands in wherever no lane is valid).
         self._mv = [full if b else 0 for b in self.valid]
         self._mr = [full if b else 0 for b in self.ready]
-        if self.data_plane == "numpy":
-            # Data locals -> persistent per-channel columns (stale
-            # don't-care fills where no lane is valid); arm flags ->
-            # full-width lane masks so the first pass recomputes the
-            # fixpoint for every lane, exactly like initialization.
-            np = numpy_module()
-            kinds = self._np_kinds
-            self._npd = np_data_columns(np, self.data, kinds, lb)
-            self._amasks = [full] * sched.n_occ
-            self._avmasks = [full] * sched.n_occ
-            self._vops = vector_ops(
-                self._units, kinds, sched.in_chs, sched.out_chs
-            )
-            self._mstate = [
-                np_mask_state(
-                    u, lb, full,
-                    kinds[sched.out_chs[s][0]]
-                    if sched.out_chs[s] else "n",
-                )
-                for s, u in enumerate(self._units)
-            ]
-        else:
-            zt = (None,) * lb
-            # Data locals -> always lane tuples (``zt`` stands in
-            # wherever no lane is valid).
-            self.data = [zt if d is None else d for d in self.data]
-            self._mstate = [mask_state(u, lb, full) for u in self._units]
+        zt = (None,) * lb
+        self.data = [zt if d is None else d for d in self.data]
+        self._mstate = [mask_state(u, lb, full) for u in self._units]
         self._aflags[:] = b"\x01" * len(self._aflags)
         self._quiet = False
         # Lanes already retired by a partial done-mask coast from the
@@ -520,7 +458,16 @@ class _LanedLoopEngine(BatchedEngineBase):
         if self.promotion_cycle is None:
             self.promotion_cycle = self.cycle
         self._masked = True
-        self._mask_loop = self._ns["make_mask_loop"](self)
+        source = generate_mask_source(self.circuit, self.schedule)
+        ns, key, origin = self._load(source)
+        self.mask_codegen_key = key
+        self.mask_codegen_origin = origin
+        self._mask_loop = ns["make_mask_loop"](self)
+        _log.info(
+            "structure %s promoted to mask lanes at cycle %d "
+            "(mask module %s)",
+            self.schedule.key[:16], self.cycle, origin,
+        )
 
     def _raise_mask_status(self, status: int, max_cycles: int) -> None:
         if status == 2:
@@ -696,22 +643,11 @@ class BatchedEventEngine(BatchedEngineBase):
         sanitize: Optional[bool] = None,
         fast_forward: Optional[bool] = None,
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-        data_plane: Optional[str] = None,
     ):
         self._init_batched(
             circuit, lanes, memories, trace, profile, sanitize,
             fast_forward, deadlock_window,
         )
-        # The event backend runs lanes sequentially on scalar engines:
-        # there is no laned data representation to select.  ``data_plane``
-        # is accepted for API parity; asking for a specific laned plane
-        # is a contradiction and fails loudly.
-        if data_plane not in (None, "auto"):
-            raise SimulationError(
-                "the event backend runs lanes on scalar engines and has "
-                f"no laned data plane (got data_plane={data_plane!r})"
-            )
-        self.data_plane = "scalar"
 
     def run_lanes(
         self,

@@ -82,12 +82,6 @@ from .codegen_blocks import (
     mask_local,
     mask_obj_names,
 )
-from .codegen_npblocks import (
-    NP_MASK_EVAL_BLOCKS,
-    NP_MASK_TICK_BLOCKS,
-    np_dense_eligible,
-)
-from .npplane import channel_kinds, np_extra_int_names, np_extra_obj_names
 from .deadlock import diagnose
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine
 
@@ -151,43 +145,9 @@ def unsupported_units(units, schedule: CircuitSchedule) -> List[str]:
     return bad
 
 
-def generate_source(circuit: DataflowCircuit,
-                    schedule: CircuitSchedule,
-                    lanes: bool = False,
-                    data_plane: str = "tuple") -> str:
-    """Emit the specialized simulation module for ``circuit``.
-
-    Deterministic: the same circuit structure and code-shaping parameters
-    always produce byte-identical source, which is what the disk cache
-    keys on.  Runtime-only parameters (token values, operand constants,
-    compute functions, memory) are bound through ``rt`` in ``make_loop``.
-
-    ``lanes=True`` emits the *laned* variant used by the batched engines
-    (:mod:`repro.sim.batched`): same loop skeleton and scalar control
-    signals, data locals widened to per-lane tuples, load/store dispatch
-    through per-lane memory method lists, and ``LaneDivergence`` raised
-    where per-lane values disagree on a control decision.  The laned
-    lockstep loop catches that divergence itself (exit status 4) and the
-    module additionally defines ``make_mask_loop(rt)`` — the mask-lane
-    (MIMD) continuation the batched engine promotes to, where control
-    bits are per-lane bitmask integers and lanes execute independently.
-    The lane count itself is a runtime binding (``rt.lanes``), so one
-    laned module serves every batch width — but laned and scalar source
-    always differ (distinct disk-cache keys).
-
-    ``data_plane`` (laned modules only) selects the mask loop's data
-    representation: ``"tuple"`` (the pure-Python lane-tuple plane) or
-    ``"numpy"`` (per-channel float64 columns + lane-masked arming, see
-    :mod:`repro.sim.codegen_npblocks`).  The two variants differ in
-    source text — and therefore in disk-cache key — while their
-    lockstep ``make_loop`` halves are identical line for line, so the
-    plane choice cannot perturb lockstep behaviour or performance.
-    """
-    if data_plane not in ("tuple", "numpy"):
-        raise SimulationError(
-            f"unknown data plane {data_plane!r} (use 'tuple' or 'numpy')"
-        )
-    npmode = lanes and data_plane == "numpy"
+def _checked_units(circuit: DataflowCircuit,
+                   schedule: CircuitSchedule) -> List:
+    """The schedule's units in slot order; raise if any cannot be emitted."""
     units = [circuit.units[n] for n in schedule.names]
     bad = unsupported_units(units, schedule)
     if bad:
@@ -196,48 +156,74 @@ def generate_source(circuit: DataflowCircuit,
             + "\n  ".join(bad)
             + "\nuse --sim-backend compiled (or event) for it"
         )
+    return units
+
+
+class _Layout:
+    """Slot/channel/group partition shared by the lockstep and mask loops."""
+
+    def __init__(self, schedule: CircuitSchedule, units: List) -> None:
+        in_chs, out_chs = schedule.in_chs, schedule.out_chs
+        self.live = sorted(
+            {c for cs in in_chs for c in cs} | {c for cs in out_chs for c in cs}
+        )
+        n_occ = schedule.n_occ
+        self.tick_slots = [s for s in range(len(units))
+                           if schedule.tickable[s]]
+        self.carry_slots = [s for s in self.tick_slots
+                            if isinstance(units[s], CARRY_TYPES)]
+        self.needs_mem = any(
+            isinstance(u, (LoadPort, StorePort)) for u in units
+        )
+        self.occ_groups = [
+            list(range(g * GROUP, min((g + 1) * GROUP, n_occ)))
+            for g in range((n_occ + GROUP - 1) // GROUP)
+        ]
+        self.fire_groups: "OrderedDict[int, List[int]]" = OrderedDict()
+        for c in self.live:
+            self.fire_groups.setdefault(c // GROUP, []).append(c)
+        self.tick_groups = [self.tick_slots[i:i + GROUP]
+                            for i in range(0, len(self.tick_slots), GROUP)]
+        self.tgidx = {s: g for g, ss in enumerate(self.tick_groups)
+                      for s in ss}
+
+
+def generate_source(circuit: DataflowCircuit,
+                    schedule: CircuitSchedule,
+                    lanes: bool = False) -> str:
+    """Emit the specialized simulation module for ``circuit``.
+
+    Deterministic: the same circuit structure and code-shaping parameters
+    always produce byte-identical source, which is what the disk cache
+    keys on.  Runtime-only parameters (token values, operand constants,
+    compute functions, memory) are bound through ``rt`` in ``make_loop``.
+
+    ``lanes=True`` emits the *laned lockstep* variant used by the batched
+    engines (:mod:`repro.sim.batched`): same loop skeleton and scalar
+    control signals, data locals widened to per-lane tuples, load/store
+    dispatch through per-lane memory method lists, and ``LaneDivergence``
+    raised where per-lane values disagree on a control decision.  The
+    laned loop catches that divergence itself (exit status 4); the
+    mask-lane continuation the engine then promotes to is a separate
+    module (:func:`generate_mask_source`), generated only for batches
+    that actually diverge.  The lane count itself is a runtime binding
+    (``rt.lanes``), so one laned module serves every batch width — but
+    laned and scalar source always differ (distinct disk-cache keys).
+    """
+    units = _checked_units(circuit, schedule)
     eval_blocks = LANE_EVAL_BLOCKS if lanes else EVAL_BLOCKS
     tick_blocks = LANE_TICK_BLOCKS if lanes else TICK_BLOCKS
 
-    n_units = len(units)
     in_chs, out_chs = schedule.in_chs, schedule.out_chs
-    live = sorted(
-        {c for cs in in_chs for c in cs} | {c for cs in out_chs for c in cs}
-    )
-    n_occ = schedule.n_occ
-    tick_slots = [s for s in range(n_units) if schedule.tickable[s]]
-    carry_slots = [s for s in tick_slots if isinstance(units[s], CARRY_TYPES)]
-    needs_mem = any(isinstance(u, (LoadPort, StorePort)) for u in units)
+    lay = _Layout(schedule, units)
+    live, n_occ = lay.live, schedule.n_occ
+    tick_slots, carry_slots = lay.tick_slots, lay.carry_slots
+    needs_mem = lay.needs_mem
 
     L: List[str] = []
     add = L.append
-    if npmode:
-        variant = "laned, numpy mask plane"
-    elif lanes:
-        variant = "laned"
-    else:
-        variant = "scalar"
-    add(f"# Generated by repro.sim.codegen ({variant}) -- "
-        "do not edit by hand.")
-    add(f"# structure {schedule.key[:16]}: {n_units} units, "
-        f"{len(live)} channels, {n_occ} occurrences, "
-        f"{len(tick_slots)} tickable")
-    add("")
-    if npmode:
-        add("import numpy as _np")
-        add("")
-        add("")
-        add("def _pki(_a):")
-        add("    return int.from_bytes(_np.packbits("
-            "_a, bitorder='little').tobytes(), 'little')")
-        add("")
-        add("")
-        add("def _unpk(_m, _nb, _lb):")
-        add("    return _np.unpackbits(_np.frombuffer("
-            "_m.to_bytes(_nb, 'little'), _np.uint8), "
-            "count=_lb, bitorder='little').view(_np.bool_)")
-        add("")
-        add("")
+    _header(L, "laned lockstep" if lanes else "scalar", schedule, units,
+            lay)
     add("def make_loop(rt):")
     add("    U = rt._units")
     add("    V = rt.valid")
@@ -286,16 +272,8 @@ def generate_source(circuit: DataflowCircuit,
     W = P + ("    " if lanes else "")  # while-statement indent
     B = W + "    "  # cycle-body indent
 
-    occ_groups = [
-        list(range(g * GROUP, min((g + 1) * GROUP, n_occ)))
-        for g in range((n_occ + GROUP - 1) // GROUP)
-    ]
-    fire_groups: "OrderedDict[int, List[int]]" = OrderedDict()
-    for c in live:
-        fire_groups.setdefault(c // GROUP, []).append(c)
-    tick_groups = [tick_slots[i:i + GROUP]
-                   for i in range(0, len(tick_slots), GROUP)]
-    tgidx = {s: g for g, ss in enumerate(tick_groups) for s in ss}
+    occ_groups, fire_groups = lay.occ_groups, lay.fire_groups
+    tick_groups, tgidx = lay.tick_groups, lay.tgidx
 
     # -- prologue: pull everything into locals -----------------------------
     _pack(L, [f"v{c} = V[{c}]; r{c} = R[{c}]; d{c} = D[{c}]" for c in live],
@@ -462,21 +440,24 @@ def generate_source(circuit: DataflowCircuit,
     add("")
     add("    return loop")
     add("")
-
-    if lanes:
-        kinds = channel_kinds(circuit, schedule, units) if npmode else None
-        _emit_mask_loop(
-            L, schedule, units, live, n_occ, needs_mem, occ_groups,
-            fire_groups, tick_groups, tgidx, tick_slots, carry_slots,
-            kinds=kinds,
-        )
     return "\n".join(L)
 
 
-def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
-                    fire_groups, tick_groups, tgidx, tick_slots,
-                    carry_slots, kinds=None) -> None:
-    """Append ``make_mask_loop(rt)`` to a laned module's source.
+def _header(L: List[str], variant: str, schedule: CircuitSchedule,
+            units: List, lay: _Layout) -> None:
+    """The module banner.  ``variant`` names the module kind, so scalar,
+    laned-lockstep and mask-loop sources never share a cache key."""
+    L.append(f"# Generated by repro.sim.codegen ({variant}) -- "
+             "do not edit by hand.")
+    L.append(f"# structure {schedule.key[:16]}: {len(units)} units, "
+             f"{len(lay.live)} channels, {schedule.n_occ} occurrences, "
+             f"{len(lay.tick_slots)} tickable")
+    L.append("")
+
+
+def generate_mask_source(circuit: DataflowCircuit,
+                         schedule: CircuitSchedule) -> str:
+    """Emit the mask-lane module (``make_mask_loop(rt)``) for ``circuit``.
 
     The mask loop is the MIMD continuation the batched engine promotes to
     after the first :class:`LaneDivergence`: every 1-bit control signal
@@ -505,36 +486,33 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     into ``rt._lane_fires`` in the epilogue — O(lanes) once per
     ``mloop`` call instead of per fired channel per cycle.
     """
-    npmode = kinds is not None
+    units = _checked_units(circuit, schedule)
+    lay = _Layout(schedule, units)
+    live, n_occ = lay.live, schedule.n_occ
+    occ_groups, fire_groups = lay.occ_groups, lay.fire_groups
+    tick_groups, tgidx = lay.tick_groups, lay.tgidx
+    tick_slots, carry_slots = lay.tick_slots, lay.carry_slots
     in_chs, out_chs = schedule.in_chs, schedule.out_chs
     retire_chs = set()
     for s, u in enumerate(units):
         if isinstance(u, (Sink, StorePort)):
             retire_chs.update(in_chs[s])
+    L: List[str] = []
     add = L.append
-    add("")
+    _header(L, "laned mask loop", schedule, units, lay)
     add("def make_mask_loop(rt):")
     add("    U = rt._units")
     add("    MV = rt._mv")
     add("    MR = rt._mr")
-    if npmode:
-        add("    ND = rt._npd")
-        add("    A = rt._amasks")
-        add("    AV = rt._avmasks")
-        add("    VO = rt._vops")
-    else:
-        add("    D = rt.data")
-        add("    A = rt._aflags")
+    add("    D = rt.data")
+    add("    A = rt._aflags")
     add("    MS = rt._mstate")
     add("    LB = rt.lanes")
     add("    FULL = (1 << LB) - 1")
-    if npmode:
-        add("    NB = (LB + 7) // 8")
-    else:
-        add("    ztup = (None,) * LB")
+    add("    ztup = (None,) * LB")
     add("    LC = rt.lane_cycles")
     add("    LF = rt._lane_fires")
-    if needs_mem:
+    if lay.needs_mem:
         add("    mrd = rt._mrd")
         add("    mwr = rt._mwr")
     mbinds: List[str] = []
@@ -543,17 +521,11 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             mbinds.append(f"cp{s} = U[{s}]._compute")
             for slot in sorted(u.const_ops):
                 mbinds.append(f"uc{s}_{slot} = U[{s}].const_ops[{slot}]")
-            if npmode and np_dense_eligible(u, in_chs[s], out_chs[s],
-                                            kinds):
-                mbinds.append(f"vop{s} = VO.get({s})")
         if isinstance(u, (Entry, Constant)):
-            if npmode:
-                mbinds.append(f"uv{s} = U[{s}].value")
-            else:
-                mbinds.append(f"uv{s} = (U[{s}].value,) * LB")
+            mbinds.append(f"uv{s} = (U[{s}].value,) * LB")
         if isinstance(u, Sequence):
             mbinds.append(f"uvq{s} = U[{s}].values")
-        if not npmode and isinstance(u, (ArbiterMerge, FixedOrderMerge)):
+        if isinstance(u, (ArbiterMerge, FixedOrderMerge)):
             mbinds.append(
                 f"lsel{s} = tuple((_i,) * LB for _i in range({u.n_in}))"
             )
@@ -563,32 +535,18 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add("")
     add("    def mloop(budget, done_lane, max_cycles, window):")
     P = "        "
-    W = P + ("    " if npmode else "")
-    B = W + "    "
+    B = P + "    "
 
     # -- prologue ----------------------------------------------------------
-    if npmode:
-        _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]" for c in live],
-              P, per=3)
-        _pack(L, [f"d{c} = ND[{c}]" for c in live if kinds[c] != "n"],
-              P, per=4)
-    else:
-        _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]; d{c} = D[{c}]"
-                  for c in live], P, per=2)
+    _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]; d{c} = D[{c}]"
+              for c in live], P, per=2)
     _pack(L, [f"a{k} = A[{k}]" for k in range(n_occ)], P)
-    if npmode:
-        _pack(L, [f"av{k} = AV[{k}]" for k in range(n_occ)], P)
     _pack(L, [f"ga{g} = " + " or ".join(f"a{k}" for k in ks) + " or 0"
               for g, ks in enumerate(occ_groups)], P, per=2)
     _pack(L, [f"fg{g} = 1" for g in fire_groups], P)
     sbinds: List[str] = []
     for s, u in enumerate(units):
-        names = mask_int_names(u) + mask_obj_names(u)
-        if npmode:
-            ok = kinds[out_chs[s][0]] if out_chs[s] else "n"
-            names = mask_int_names(u) + np_extra_int_names(u) \
-                + mask_obj_names(u) + np_extra_obj_names(u, ok)
-        for nm in names:
+        for nm in mask_int_names(u) + mask_obj_names(u):
             sbinds.append(f"{mask_local(nm, s)} = MS[{s}][{nm!r}]")
     _pack(L, sbinds, P, per=4)
     _pack(L, [f"t{s} = 0; tb{s} = 0" for s in tick_slots], P, per=4)
@@ -607,12 +565,7 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "total_fires = rt.total_fires")
     add(P + "status = 0")
     add(P + "fires = 0")
-    if npmode:
-        # Match the scalar engine's silence on inf/nan arithmetic (the
-        # sparse path and Python floats never warn); restored on exit.
-        add(P + "_olderr = _np.seterr(all='ignore')")
-        add(P + "try:")
-    add(W + "while budget > 0:")
+    add(P + "while budget > 0:")
 
     # -- per-lane retirement (fire-activity gated) -------------------------
     add(B + "if fa:")
@@ -649,18 +602,10 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
         for k in ks:
             s = schedule.occ_units[k]
             u = units[s]
-            if npmode:
-                block = NP_MASK_EVAL_BLOCKS[type(u)](
-                    s, u, in_chs[s], out_chs[s], schedule, kinds
-                )
-            else:
-                block = MASK_EVAL_BLOCKS[type(u)](
-                    s, u, in_chs[s], out_chs[s], schedule
-                )
+            block = MASK_EVAL_BLOCKS[type(u)](
+                s, u, in_chs[s], out_chs[s], schedule
+            )
             add(B + f"    if a{k}:")
-            if npmode:
-                add(B + f"        amv = av{k}")
-                add(B + f"        av{k} = 0")
             add(B + f"        a{k} = 0")
             for line in block:
                 add(B + "        " + line)
@@ -708,13 +653,9 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             add(B + f"    tg{g} = 0")
             for s in ss:
                 u = units[s]
-                if npmode:
-                    tk_gen = NP_MASK_TICK_BLOCKS[type(u)][0]
-                    tk = tk_gen(s, u, in_chs[s], out_chs[s], schedule,
-                                kinds)
-                else:
-                    tk_gen = MASK_TICK_BLOCKS[type(u)][0]
-                    tk = tk_gen(s, u, in_chs[s], out_chs[s], schedule)
+                tk = MASK_TICK_BLOCKS[type(u)][0](
+                    s, u, in_chs[s], out_chs[s], schedule
+                )
                 member = (f"if t{s} or (kc{s} & live):"
                           if s in carry_slots else f"if t{s}:")
                 add(B + "    " + member)
@@ -732,20 +673,11 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
             add(B + f"        tgb{g} = 0")
             for s in ss:
                 u = units[s]
-                if npmode:
-                    pk_gen = NP_MASK_TICK_BLOCKS[type(u)][1]
-                    pk = pk_gen(s, u, in_chs[s], out_chs[s], schedule,
-                                kinds)
-                else:
-                    pk_gen = MASK_TICK_BLOCKS[type(u)][1]
-                    pk = pk_gen(s, u, in_chs[s], out_chs[s], schedule)
+                pk = MASK_TICK_BLOCKS[type(u)][1](
+                    s, u, in_chs[s], out_chs[s], schedule
+                )
                 add(B + f"        if tb{s}:")
                 add(B + f"            tb{s} = 0")
-                if npmode:
-                    # Re-arm the signal recompute with exactly the lanes
-                    # the tick touched (the arming invariant across
-                    # clock edges).
-                    add(B + f"            amv = _tc{s}")
                 for line in pk:
                     add(B + "            " + line)
         if carry_slots:
@@ -758,9 +690,6 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(B + "if idle >= window:")
     add(B + "    status = 2")
     add(B + "    break")
-    if npmode:
-        add(P + "finally:")
-        add(P + "    _np.seterr(**_olderr)")
 
     # -- epilogue ----------------------------------------------------------
     add(P + "for _p in range(len(VP)):")
@@ -769,22 +698,12 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add(P + "        _b = _x & -_x")
     add(P + "        _x &= _x - 1")
     add(P + "        LF[_b.bit_length() - 1] += 1 << _p")
-    if npmode:
-        # Columns (rt._npd) are mutated in place: no data writeback.
-        _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}" for c in live],
-              P, per=3)
-    else:
-        _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}; D[{c}] = d{c}"
-                  for c in live], P, per=2)
+    _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}; D[{c}] = d{c}"
+              for c in live], P, per=2)
     _pack(L, [f"A[{k}] = a{k}" for k in range(n_occ)], P)
-    if npmode:
-        _pack(L, [f"AV[{k}] = av{k}" for k in range(n_occ)], P)
     wbacks: List[str] = []
     for s, u in enumerate(units):
-        int_names = mask_int_names(u)
-        if npmode:
-            int_names = int_names + np_extra_int_names(u)
-        for nm in int_names:
+        for nm in mask_int_names(u):
             wbacks.append(f"MS[{s}][{nm!r}] = {mask_local(nm, s)}")
     _pack(L, wbacks, P, per=4)
     add(P + "rt.cycle = cycle")
@@ -798,6 +717,7 @@ def _emit_mask_loop(L, schedule, units, live, n_occ, needs_mem, occ_groups,
     add("")
     add("    return mloop")
     add("")
+    return "\n".join(L)
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,6 @@ class BaseEngine:
     #: Backend name reported by profiles and the CLI.
     backend = "?"
 
-    #: Data representation the engine executes with.  One-lane engines
-    #: are always ``"scalar"``; the batched engines override this with
-    #: the mask loop's lane representation (``"tuple"`` or ``"numpy"``).
-    #: Recorded in :class:`~repro.frontend.runner.KernelRun` and
-    #: :class:`~repro.pipeline.TechniqueResult` for provenance.
-    data_plane = "scalar"
-
     def _init_common(
         self,
         circuit: DataflowCircuit,

@@ -21,9 +21,8 @@ CSV_HEADERS = [
     "cached", "dsp", "slices", "lut", "ff", "cp_ns", "cycles",
     "exec_time_us", "opt_time_s", "lint_errors", "lint_warnings",
     "predicted_ii", "flow_diags", "mem_class", "memdep_diags",
-    "sim_backend", "data_plane", "fallback_lanes", "mask_promotions",
-    "divergence", "fu_census", "error_type", "error", "wall_time_s",
-    "attempts",
+    "sim_backend", "fallback_lanes", "mask_promotions", "divergence",
+    "fu_census", "error_type", "error", "wall_time_s", "attempts",
 ]
 
 
@@ -99,7 +98,7 @@ def record_csv_row(record: SweepRecord) -> List[Any]:
         metric("opt_time_s"), metric("lint_errors"), metric("lint_warnings"),
         metric("predicted_ii"), metric("flow_diags"),
         metric("mem_class"), metric("memdep_diags"),
-        metric("sim_backend"), metric("data_plane"),
+        metric("sim_backend"),
         metric("fallback_lanes"), metric("mask_promotions"),
         metric("divergence"),
         res.fu_census if res is not None else "",

@@ -11,18 +11,19 @@ contract:
   to scalar runs per lane, across lane counts up to 64;
 * lanes frozen by an early ``done`` predicate never perturb survivors
   (hypothesis property);
-* the mask-capable laned module has its own content-addressed disk-cache
-  key and still promotes correctly when reloaded from disk; the numpy
-  and tuple data-plane variants of the laned module also have disjoint
-  keys;
+* the mask loop is a module of its own, loaded lazily: lockstep-only
+  batches never generate or load it, a divergent batch loads it exactly
+  once, and it has its own content-addressed cache key (memory, disk and
+  cross-process reuse all promote correctly);
 * every golden configuration survives being *forced* through the mask
-  loop from cycle 0 (``start_masked=True``) bit-identically — through
-  **both** data planes (numpy lane columns and pure-Python lane tuples);
-* the numpy plane's lane-masked arming fires exactly the same per-lane
-  work as the tuple plane's full-scan loop (hypothesis property), and
-  mid-run lockstep→mask promotion lifts state correctly into either
-  representation.
+  loop from cycle 0 (``start_masked=True``) bit-identically, and mid-run
+  lockstep→mask promotion lifts live state correctly into lane tuples.
 """
+
+import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,11 @@ from repro.frontend.interp import run_reference
 from repro.pipeline import TECHNIQUES
 from repro.sim import Memory, create_engine
 from repro.sim.batched import BatchedCodegenEngine
-from repro.sim.codegen import generate_source, source_key
+from repro.sim.codegen import (
+    generate_mask_source,
+    generate_source,
+    source_key,
+)
 from repro.sim.signal_graph import compile_schedule
 
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
@@ -83,13 +88,11 @@ def _lane_memories(kernel, seeds):
     return memories, expected
 
 
-def _run_batched(lowered, seeds, backend, start_masked=False,
-                 data_plane=None):
+def _run_batched(lowered, seeds, backend, start_masked=False):
     kernel = lowered.kernel
     memories, expected = _lane_memories(kernel, seeds)
     engine = create_engine(
         lowered.circuit, backend=backend, lanes=len(seeds), memories=memories,
-        data_plane=data_plane,
     )
     end = lowered.end_sink
 
@@ -264,8 +267,8 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
 
 
 # ---------------------------------------------------------------------------
-# disk cache: the mask-capable laned module has its own key and survives
-# a disk round-trip with the promotion machinery intact
+# the mask loop is its own module: keyed apart from the lockstep module,
+# loaded only on promotion, reusable from memory, disk and other processes
 
 
 @pytest.fixture
@@ -279,94 +282,179 @@ def codegen_cache(tmp_path, monkeypatch):
     return tmp_path / "cgc"
 
 
+@pytest.fixture
+def mask_generations(monkeypatch):
+    """Count mask-loop source generations by the batched engines."""
+    import repro.sim.batched as bt
+
+    calls = []
+
+    def counting(circuit, schedule):
+        calls.append(schedule.key)
+        return generate_mask_source(circuit, schedule)
+
+    monkeypatch.setattr(bt, "generate_mask_source", counting)
+    return calls
+
+
+def _diverge_batch(lanes=3):
+    memories = [_flags_memory(lane) for lane in range(lanes)]
+    engine = BatchedCodegenEngine(
+        _divergent_circuit(), lanes=lanes, memories=memories,
+    )
+    cycles = engine.run_lanes(
+        lambda lane: (engine.sink_count("st", lane)
+                      + engine.sink_count("sf", lane)) >= N_FLAGS,
+        max_cycles=10_000, uniform_done=True,
+    )
+    received = [engine.sink_received("st", lane) for lane in range(lanes)]
+    return engine, cycles, received
+
+
 def test_mask_variant_has_its_own_cache_key(codegen_cache):
     c = _divergent_circuit()
     schedule = compile_schedule(c)
     scalar_src = generate_source(c, schedule)
     laned_src = generate_source(c, schedule, lanes=True)
-    # The mask loop lives in the laned module only: a pre-mask scalar
-    # module (or any module without make_mask_loop) can never be served
-    # for a laned run, because the key hashes the full source.
-    assert "make_mask_loop" in laned_src
+    mask_src = generate_mask_source(c, schedule)
+    # The mask loop lives in its own module only: neither lockstep
+    # module defines it, and each of the three kinds names its variant.
+    assert "make_mask_loop" in mask_src
+    assert "make_mask_loop" not in laned_src
     assert "make_mask_loop" not in scalar_src
-    assert source_key(scalar_src) != source_key(laned_src)
-    stripped = laned_src[:laned_src.index("def make_mask_loop")]
-    assert source_key(stripped) != source_key(laned_src)
+    assert "def make_loop" not in mask_src
+    assert "(laned mask loop)" in mask_src.splitlines()[0]
+    assert "(laned lockstep)" in laned_src.splitlines()[0]
+    assert "(scalar)" in scalar_src.splitlines()[0]
 
 
-def test_numpy_and_tuple_planes_have_disjoint_cache_keys(codegen_cache):
-    # The two data-plane variants generate different mask-loop bodies;
-    # content-addressed keying must keep them apart so a tuple module
-    # can never be served to a numpy engine (or vice versa).
-    c = _divergent_circuit()
-    schedule = compile_schedule(c)
-    tuple_src = generate_source(c, schedule, lanes=True, data_plane="tuple")
-    numpy_src = generate_source(c, schedule, lanes=True, data_plane="numpy")
-    assert tuple_src != numpy_src
-    assert source_key(tuple_src) != source_key(numpy_src)
-    # The default laned module is the tuple variant: numpy-ness is an
-    # explicit opt-in at generation time, not an ambient property.
-    assert generate_source(c, schedule, lanes=True) == tuple_src
+def test_lockstep_and_mask_modules_have_disjoint_cache_keys(codegen_cache):
+    import repro.sim.codegen as cg
+
+    engine, _, _ = _diverge_batch()
+    assert engine.mask_promotions == 1
+    assert engine.mask_codegen_key is not None
+    assert engine.mask_codegen_key != engine.codegen_key
+    # Both modules sit in the memo and on disk under their own keys.
+    assert {engine.codegen_key, engine.mask_codegen_key} <= set(
+        cg._MODULE_CACHE)
+    cached = {p.stem for p in codegen_cache.glob("*/*.py")}
+    assert {engine.codegen_key, engine.mask_codegen_key} <= cached
+
+
+def test_lockstep_batch_never_loads_mask_module(codegen_cache,
+                                                mask_generations):
+    import repro.sim.codegen as cg
+
+    before = dict(cg.CODEGEN_STATS)
+    lowered = _prepare("gemm", "crush")
+    engine, memories, cycles = _run_batched(lowered, [100, 101, 102, 103],
+                                            "codegen")
+    assert engine.mask_promotions == 0
+    assert engine.mask_codegen_key is None
+    assert engine.mask_codegen_origin is None
+    assert mask_generations == []
+    # Exactly one module load this run: the lockstep module.
+    loads = sum(cg.CODEGEN_STATS[k] - before[k] for k in before)
+    assert loads == 1
+    assert not any("make_mask_loop" in p.read_text()
+                   for p in codegen_cache.glob("*/*.py"))
+
+
+def test_divergent_batch_loads_mask_module_once(codegen_cache,
+                                                mask_generations, caplog):
+    lowered = _prepare("gsumif", "crush")
+    seeds = list(range(100, 108))
+    with caplog.at_level(logging.INFO, logger="repro.sim.batched"):
+        first, _, cycles_a = _run_batched(lowered, seeds, "codegen")
+    assert first.mask_promotions == 1
+    assert first.mask_codegen_origin == "generated"
+    assert len(mask_generations) == 1
+    # One promotion record naming structure, cycle and module origin.
+    promos = [r.getMessage() for r in caplog.records
+              if "promoted" in r.getMessage()]
+    assert len(promos) == 1
+    assert first.schedule.key[:16] in promos[0]
+    assert f"cycle {first.promotion_cycle}" in promos[0]
+    assert "generated" in promos[0]
+    # A second engine of the same structure reuses the in-process module.
+    second, _, cycles_b = _run_batched(lowered, seeds, "codegen")
+    assert second.mask_codegen_key == first.mask_codegen_key
+    assert second.mask_codegen_origin == "memory"
+    assert second.fallback_lanes == 0
+    assert cycles_b == cycles_a
 
 
 def test_disk_loaded_module_still_promotes(codegen_cache):
-    def run_batch():
-        memories = [_flags_memory(lane) for lane in range(3)]
-        engine = BatchedCodegenEngine(
-            _divergent_circuit(), lanes=3, memories=memories,
-        )
-        cycles = engine.run_lanes(
-            lambda lane: (engine.sink_count("st", lane)
-                          + engine.sink_count("sf", lane)) >= N_FLAGS,
-            max_cycles=10_000, uniform_done=True,
-        )
-        received = [engine.sink_received("st", lane) for lane in range(3)]
-        return engine, cycles, received
-
     import repro.sim.codegen as cg
 
-    first, cycles_a, recv_a = run_batch()
+    first, cycles_a, recv_a = _diverge_batch()
     assert first.codegen_origin == "generated"
+    assert first.mask_codegen_origin == "generated"
     assert first.mask_promotions == 1
-    # Fresh in-process memo: the module must come back from disk with the
-    # mask loop attached — a poisoned/stale artifact would fail here.
+    # Fresh in-process memo: both modules must come back from disk — a
+    # poisoned/stale artifact would fail here.
     cg._MODULE_CACHE.clear()
-    second, cycles_b, recv_b = run_batch()
+    second, cycles_b, recv_b = _diverge_batch()
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
+    assert second.mask_codegen_key == first.mask_codegen_key
+    assert second.mask_codegen_origin == "disk"
     assert second.mask_promotions == 1
     assert second.fallback_lanes == 0
     assert cycles_b == cycles_a
     assert recv_b == recv_a
 
 
+_FRESH_PROCESS = """
+from tests.sim.test_mask_lanes import _diverge_batch
+engine, cycles, _ = _diverge_batch()
+print(engine.codegen_origin, engine.mask_codegen_origin,
+      engine.mask_promotions, engine.fallback_lanes, cycles)
+"""
+
+
+def test_fresh_process_loads_mask_module_from_disk(codegen_cache):
+    _, cycles, _ = _diverge_batch()
+    root = Path(__file__).resolve().parents[2]
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS],
+        cwd=str(root), capture_output=True, text=True,
+        env={"PATH": "", "PYTHONPATH": f"{src}:{root}",
+             "REPRO_CODEGEN_CACHE": str(codegen_cache)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(" ", 4) == [
+        "disk", "disk", "1", "0", f"{cycles}\n",
+    ]
+
+
 # ---------------------------------------------------------------------------
-# all 42 goldens forced through the mask loop from cycle 0, on both the
-# numpy and the pure-Python tuple data plane
+# all 42 goldens forced through the mask loop from cycle 0; the lane-tuple
+# plane is the mask loop's data representation
 
 
-@pytest.mark.parametrize("plane", ["tuple", "numpy"])
+@pytest.mark.parametrize("plane", ["tuple"])
 @pytest.mark.parametrize("kernel,technique", PAIRS,
                          ids=[f"{k}-{t}" for k, t in PAIRS])
 def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     # start_masked=True promotes before the first cycle: the whole run
     # executes in mask mode, so lockstep-only kernels also prove the
-    # masked emitters bit-identical to scalar execution.  Forcing the
-    # plane (rather than letting it auto-resolve) makes this 42 goldens
-    # x {tuple, numpy}: every golden must be numpy-eligible — a circuit
-    # falling back would raise here, which is the zero-scalar-fallback
-    # acceptance bar.
+    # masked emitters bit-identical to scalar execution, with zero
+    # scalar fallback.
     lowered = _prepare(kernel, technique)
     seeds = [7, 11]
     engine, memories, cycles = _run_batched(
-        lowered, seeds, "codegen", start_masked=True, data_plane=plane,
+        lowered, seeds, "codegen", start_masked=True,
     )
-    assert engine.data_plane == plane
     assert engine.mask_promotions == 1
     assert engine.fallback_lanes == 0
     for lane, seed in enumerate(seeds):
         want = simulate_kernel(lowered, seed=seed, backend="compiled")
-        label = f"{kernel}-{technique} lane={lane}"
+        label = f"{kernel}-{technique}-{plane} lane={lane}"
         assert cycles[lane] == want.cycles, label
         assert engine.lane_fires[lane] == want.fires, label
         assert memories[lane].writes == want.reference.writes, label
@@ -376,60 +464,19 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
 
 
 # ---------------------------------------------------------------------------
-# numpy plane vs tuple plane: lane-masked arming must do the same work
+# mid-run lockstep -> mask promotion lifts live state into lane tuples
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    lanes=st.integers(min_value=2, max_value=6),
-    targets=st.data(),
-)
-def test_lane_masked_arming_matches_full_scan(lanes, targets):
-    # The numpy plane re-evaluates a comb block only for lanes whose
-    # inputs changed (lane-masked arming); the tuple plane re-scans
-    # every live lane.  Both must fire exactly the same transfers per
-    # lane — cycles, per-lane fire counts and sink contents are the
-    # observable of "same blocks-per-lane".
-    per_lane = {}
-    for plane in ("tuple", "numpy"):
-        c = _divergent_circuit()
-        memories = [_flags_memory(lane) for lane in range(lanes)]
-        engine = create_engine(c, backend="codegen", lanes=lanes,
-                               memories=memories, data_plane=plane)
-        cycles = engine.run_lanes(
-            lambda lane: (engine.sink_count("st", lane)
-                          + engine.sink_count("sf", lane)) >= N_FLAGS,
-            max_cycles=10_000, uniform_done=True,
-        )
-        assert engine.data_plane == plane
-        assert engine.fallback_lanes == 0
-        assert engine.mask_promotions == 1
-        per_lane[plane] = [
-            (cycles[lane], engine.lane_fires[lane],
-             tuple(engine.sink_received("st", lane)),
-             tuple(engine.sink_received("sf", lane)))
-            for lane in range(lanes)
-        ]
-    assert per_lane["numpy"] == per_lane["tuple"]
-
-
-# ---------------------------------------------------------------------------
-# mid-run lockstep -> mask promotion lifts state into both planes
-
-
-@pytest.mark.parametrize("plane", ["tuple", "numpy"])
+@pytest.mark.parametrize("plane", ["tuple"])
 def test_promotion_lifts_state_into_plane(plane):
     # gsumif diverges mid-run with fadd (latency 10) pipes in flight, so
-    # the numpy promotion exercises the vectorized per-stage pipe-column
-    # lift, the FIFO/queue column lift and the arming-mask construction
-    # — all from live lockstep state, not from reset.
+    # promotion lifts in-flight pipe stages and FIFO contents from live
+    # lockstep state, not from reset.
     lowered = _prepare("gsumif", "crush")
     seeds = list(range(100, 108))
-    engine, memories, cycles = _run_batched(
-        lowered, seeds, "codegen", data_plane=plane,
-    )
-    assert engine.data_plane == plane
+    engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     assert engine.mask_promotions == 1
+    assert engine.promotion_cycle > 0
     assert engine.fallback_lanes == 0
     for lane, seed in enumerate(seeds):
         want = simulate_kernel(lowered, seed=seed, backend="codegen")
@@ -438,33 +485,3 @@ def test_promotion_lifts_state_into_plane(plane):
         for name in want.arrays:
             assert np.array_equal(memories[lane].dump(name),
                                   want.arrays[name]), (plane, lane, name)
-
-
-# ---------------------------------------------------------------------------
-# escape hatch and provenance
-
-
-def test_no_numpy_env_forces_tuple_plane(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_NO_NUMPY", "1")
-    c = _divergent_circuit()
-    memories = [_flags_memory(lane) for lane in range(2)]
-    engine = create_engine(c, backend="codegen", lanes=2, memories=memories)
-    assert engine.data_plane == "tuple"
-    # Asking for numpy explicitly under the escape hatch must fail
-    # loudly, not silently degrade.
-    from repro.errors import SimulationError
-    with pytest.raises(SimulationError):
-        create_engine(c, backend="codegen", lanes=2,
-                      memories=[_flags_memory(lane) for lane in range(2)],
-                      data_plane="numpy")
-
-
-def test_data_plane_provenance_on_runs():
-    from repro.frontend import simulate_kernel_batch
-
-    lowered = _prepare("gsumif", "crush")
-    scalar = simulate_kernel(lowered, backend="codegen")
-    assert scalar.data_plane == "scalar"
-    batch = simulate_kernel_batch(lowered, seeds=[100, 101],
-                                  backend="codegen")
-    assert {r.data_plane for r in batch} == {"numpy"}
