@@ -17,7 +17,9 @@ contract:
   cross-process reuse all promote correctly);
 * every golden configuration survives being *forced* through the mask
   loop from cycle 0 (``start_masked=True``) bit-identically, and mid-run
-  lockstep→mask promotion lifts live state correctly into lane tuples.
+  lockstep→mask promotion lifts live state correctly into lane tuples —
+  each held to two oracles: a scalar engine run (``tuple``) and the
+  NumPy-backed reference interpreter (``numpy``).
 """
 
 import logging
@@ -108,6 +110,34 @@ def _run_batched(lowered, seeds, backend, start_masked=False):
         start_masked=start_masked,
     )
     return engine, memories, cycles
+
+
+#: What each mask-loop lane is held to.  ``tuple``: a scalar engine run
+#: of the same circuit — per-lane cycles, fires, write count and final
+#: arrays, which the lane-tuple plane must replay exactly.  ``numpy``:
+#: the NumPy-backed reference interpreter — write count and final
+#: arrays, bit for bit, from an oracle that shares no code with the
+#: simulator.
+ORACLES = ("tuple", "numpy")
+
+
+def _assert_lanes_match(oracle, lowered, seeds, engine, memories, cycles,
+                        backend, label):
+    for lane, seed in enumerate(seeds):
+        where = f"{label}-{oracle} lane={lane}"
+        if oracle == "tuple":
+            want = simulate_kernel(lowered, seed=seed, backend=backend)
+            assert cycles[lane] == want.cycles, where
+            assert engine.lane_fires[lane] == want.fires, where
+            writes, arrays = want.reference.writes, want.arrays
+        else:
+            ref = run_reference(lowered.kernel,
+                                default_inputs(lowered.kernel, seed=seed))
+            writes, arrays = ref.writes, ref.arrays
+        assert memories[lane].writes == writes, where
+        for name in arrays:
+            assert np.array_equal(memories[lane].dump(name),
+                                  arrays[name]), f"{where}: {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +467,14 @@ def test_fresh_process_loads_mask_module_from_disk(codegen_cache):
 # plane is the mask loop's data representation
 
 
-@pytest.mark.parametrize("plane", ["tuple"])
+@pytest.mark.parametrize("oracle", ORACLES)
 @pytest.mark.parametrize("kernel,technique", PAIRS,
                          ids=[f"{k}-{t}" for k, t in PAIRS])
-def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
+def test_goldens_forced_mask_bit_identical(kernel, technique, oracle):
     # start_masked=True promotes before the first cycle: the whole run
     # executes in mask mode, so lockstep-only kernels also prove the
-    # masked emitters bit-identical to scalar execution, with zero
-    # scalar fallback.
+    # masked emitters bit-identical to scalar execution and to the
+    # reference interpreter, with zero scalar fallback.
     lowered = _prepare(kernel, technique)
     seeds = [7, 11]
     engine, memories, cycles = _run_batched(
@@ -452,23 +482,16 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, plane):
     )
     assert engine.mask_promotions == 1
     assert engine.fallback_lanes == 0
-    for lane, seed in enumerate(seeds):
-        want = simulate_kernel(lowered, seed=seed, backend="compiled")
-        label = f"{kernel}-{technique}-{plane} lane={lane}"
-        assert cycles[lane] == want.cycles, label
-        assert engine.lane_fires[lane] == want.fires, label
-        assert memories[lane].writes == want.reference.writes, label
-        for name in want.arrays:
-            assert np.array_equal(memories[lane].dump(name),
-                                  want.arrays[name]), f"{label}: {name}"
+    _assert_lanes_match(oracle, lowered, seeds, engine, memories, cycles,
+                        "compiled", f"{kernel}-{technique}")
 
 
 # ---------------------------------------------------------------------------
 # mid-run lockstep -> mask promotion lifts live state into lane tuples
 
 
-@pytest.mark.parametrize("plane", ["tuple"])
-def test_promotion_lifts_state_into_plane(plane):
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_promotion_lifts_state_into_plane(oracle):
     # gsumif diverges mid-run with fadd (latency 10) pipes in flight, so
     # promotion lifts in-flight pipe stages and FIFO contents from live
     # lockstep state, not from reset.
@@ -478,10 +501,5 @@ def test_promotion_lifts_state_into_plane(plane):
     assert engine.mask_promotions == 1
     assert engine.promotion_cycle > 0
     assert engine.fallback_lanes == 0
-    for lane, seed in enumerate(seeds):
-        want = simulate_kernel(lowered, seed=seed, backend="codegen")
-        assert cycles[lane] == want.cycles, (plane, lane)
-        assert engine.lane_fires[lane] == want.fires, (plane, lane)
-        for name in want.arrays:
-            assert np.array_equal(memories[lane].dump(name),
-                                  want.arrays[name]), (plane, lane, name)
+    _assert_lanes_match(oracle, lowered, seeds, engine, memories, cycles,
+                        "codegen", "gsumif-crush")
