@@ -13,6 +13,12 @@ the bound to that cycle's exact ratio, and stop when no cycle beats it.
 Each round strictly increases the bound among the finitely many distinct
 cycle ratios, so termination is exact, and in practice takes a handful of
 rounds even on unrolled circuits.
+
+Positive-cycle detection is queue-based Bellman-Ford on exact integers:
+for the bound ``p/q`` each edge weight ``latency - (p/q)*tokens`` is
+scaled by ``q`` to ``q*latency - p*tokens``, which orders every distance
+exactly as the rational weights would, so no rational arithmetic runs in
+the relaxation loop.
 """
 
 from __future__ import annotations
@@ -188,9 +194,21 @@ def _positive_cycle(
     restricts the search to edges with zero tokens (structural-deadlock
     pre-check).  Predecessors remember the exact relaxed edge so parallel
     edges between the same node pair are attributed correctly.
+
+    With ``lam = p/q`` (``q > 0``) every edge weight is scaled by ``q`` to
+    the integer ``q*latency - p*tokens``: each distance is exactly ``q``
+    times its rational counterpart, so every comparison, the relaxation
+    order and the cycle found are those of the rational weights.
     """
     n = len(adj)
-    dist = [Fraction(0)] * n
+    p, q = lam.numerator, lam.denominator
+    scaled = [
+        [(v, q * lat - p * tok, lat, tok)
+         for (v, lat, tok) in out
+         if not (tokenless_only and tok != 0)]
+        for out in adj
+    ]
+    dist = [0] * n
     pred: List[Optional[Tuple[int, int, int]]] = [None] * n  # (u, lat, tok)
     counts = [0] * n
     in_queue = [True] * n
@@ -201,10 +219,7 @@ def _positive_cycle(
         head += 1
         in_queue[u] = False
         du = dist[u]
-        for (v, lat, tok) in adj[u]:
-            if tokenless_only and tok != 0:
-                continue
-            w = Fraction(lat) - lam * tok
+        for (v, w, lat, tok) in scaled[u]:
             nd = du + w
             if nd > dist[v]:
                 dist[v] = nd

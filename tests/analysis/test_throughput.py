@@ -4,14 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+import repro.analysis.cfc as cfc_mod
+import repro.analysis.tokenflow as tokenflow_mod
+import repro.baselines.inorder as inorder_mod
 from repro.analysis import (
     IIResult,
     WeightedEdge,
+    analyze_circuit,
+    critical_cfcs,
     cycle_metrics,
     find_tokenless_cycle,
     max_cycle_ratio,
 )
+from repro.analysis.throughput import _adjacency, _positive_cycle
 from repro.errors import AnalysisError
+from repro.frontend.kernels import KERNEL_NAMES
+from repro.pipeline import TECHNIQUES, prepare_circuit
 
 
 def E(a, b, lat, tok=0):
@@ -293,3 +301,236 @@ class TestLawlerNeverUnderestimates:
                     assert tok > 0 and Fraction(lat, tok) == got.ii
 
         check()
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: a frozen copy of the solver as it ran on Fraction
+# distances.  The shipped solver must agree with it exactly — not only on
+# the ratio, but on the reported critical cycle and on every raised error,
+# since token-flow diagnostics, lint messages and goldens quote the cycle.
+# --------------------------------------------------------------------------
+
+
+def _oracle_adjacency(edges):
+    nodes = sorted({e.src for e in edges} | {e.dst for e in edges}, key=str)
+    idx = {n: i for i, n in enumerate(nodes)}
+    adj = [[] for _ in nodes]
+    for e in edges:
+        if e.latency < 0 or e.tokens < 0:
+            raise AnalysisError(f"negative weight on edge {e}")
+        adj[idx[e.src]].append((idx[e.dst], e.latency, e.tokens))
+    return nodes, adj
+
+
+def _oracle_extract_cycle(pred, start):
+    order = {}
+    node = start
+    while node is not None and node not in order:
+        order[node] = len(order)
+        p = pred[node]
+        node = p[0] if p is not None else None
+    if node is None:
+        return None
+    cycle = [node]
+    lat = tok = 0
+    cur = node
+    while True:
+        u, e_lat, e_tok = pred[cur]
+        lat += e_lat
+        tok += e_tok
+        if u == node:
+            break
+        cycle.append(u)
+        cur = u
+    cycle.reverse()
+    return cycle, lat, tok
+
+
+def _oracle_positive_cycle(adj, lam, tokenless_only=False):
+    n = len(adj)
+    dist = [Fraction(0)] * n
+    pred = [None] * n
+    counts = [0] * n
+    in_queue = [True] * n
+    queue = list(range(n))
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        in_queue[u] = False
+        du = dist[u]
+        for (v, lat, tok) in adj[u]:
+            if tokenless_only and tok != 0:
+                continue
+            nd = du + (Fraction(lat) - lam * tok)
+            if nd > dist[v]:
+                dist[v] = nd
+                pred[v] = (u, lat, tok)
+                counts[v] += 1
+                if counts[v] > n:
+                    found = _oracle_extract_cycle(pred, v)
+                    if found is not None:
+                        return found
+                    counts[v] = 0
+                if not in_queue[v]:
+                    in_queue[v] = True
+                    queue.append(v)
+        if head > 16 * n * n + 64:
+            raise AnalysisError("positive-cycle search did not terminate")
+    return None
+
+
+def _oracle_tokenless_cycle(edges):
+    nodes, adj = _oracle_adjacency(edges)
+    if not nodes:
+        return None
+    found = _oracle_positive_cycle(adj, Fraction(0), tokenless_only=True)
+    return None if found is None else [nodes[i] for i in found[0]]
+
+
+def _oracle_max_cycle_ratio(edges):
+    """``(ii, critical_cycle)``, or the ``AnalysisError`` message."""
+    nodes, adj = _oracle_adjacency(edges)
+    if not nodes:
+        return Fraction(1), []
+    zero = _oracle_positive_cycle(adj, Fraction(0), tokenless_only=True)
+    if zero is not None:
+        names = [str(nodes[i]) for i in zero[0]]
+        return (
+            "cycle with latency but no circulating tokens (structural "
+            "deadlock): " + " -> ".join(names)
+        )
+    bound = Fraction(1)
+    critical = []
+    for _ in range(10_000):
+        found = _oracle_positive_cycle(adj, bound)
+        if found is None:
+            return bound, critical
+        cyc, lat, tok = found
+        ratio = Fraction(lat, tok)
+        if ratio <= bound:
+            return bound, critical
+        bound = ratio
+        critical = [nodes[i] for i in cyc]
+    raise AssertionError("oracle failed to converge")
+
+
+def _assert_matches_oracle(edges):
+    """The shipped solver agrees with the oracle on ``edges``."""
+    want = _oracle_max_cycle_ratio(edges)
+    try:
+        r = max_cycle_ratio(edges)
+        got = (r.ii, r.critical_cycle)
+    except AnalysisError as exc:
+        got = str(exc)
+    assert got == want
+    assert find_tokenless_cycle(edges) == _oracle_tokenless_cycle(edges)
+    if not isinstance(want, str) and want[1]:
+        lat, tok = cycle_metrics(edges, want[1])
+        assert tok > 0 and Fraction(lat, tok) == want[0]
+
+
+#: Ratio guesses with large coprime numerator/denominator: a solver that
+#: rounds, truncates or mis-scales ``lam`` diverges from the oracle here.
+COPRIME_LAMS = (
+    Fraction(0), Fraction(1), Fraction(997, 991), Fraction(991, 997),
+    Fraction(7919, 7907), Fraction(104729, 3), Fraction(1, 104723),
+)
+
+
+class TestSolverMatchesFrozenOracle:
+    """Property: the integer-scaled Bellman-Ford returns exactly what the
+    Fraction implementation returned — same cycle, same ratio, same
+    error — on random multigraphs and on every real paper circuit."""
+
+    def test_hypothesis_random_multigraphs(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        # Few nodes and many edges: parallel edges and self-loops are
+        # common; latency 0 and tokens 0 are drawn often so zero-token
+        # edges and zero-latency rings appear in most examples.
+        weight = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 5000))
+        edge = st.tuples(
+            st.integers(0, 5), st.integers(0, 5),
+            weight, st.one_of(st.just(0), st.integers(0, 4)),
+        )
+        lam = st.one_of(
+            st.sampled_from(COPRIME_LAMS),
+            st.builds(Fraction, st.integers(0, 20000), st.integers(1, 2000)),
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(edge, min_size=0, max_size=18), lam)
+        def check(raw, lam):
+            edges = [E(a, b, l, t) for a, b, l, t in raw]
+            _assert_matches_oracle(edges)
+            _, adj = _adjacency(edges)
+            for tokenless_only in (False, True):
+                assert _positive_cycle(adj, lam, tokenless_only) == (
+                    _oracle_positive_cycle(adj, lam, tokenless_only)
+                )
+
+        check()
+
+    @pytest.mark.parametrize("lam", COPRIME_LAMS, ids=str)
+    def test_positive_cycle_at_coprime_lambda(self, lam):
+        # Two rings straddling lam = 997/991 by one part in ~10^6, plus a
+        # zero-latency ring and a self-loop.
+        edges = [
+            E("a", "b", 997, 0), E("b", "a", 0, 991),
+            E("c", "d", 998, 991), E("d", "c", 0, 0),
+            E("x", "y", 0, 0), E("y", "x", 0, 0), E("s", "s", 5, 3),
+        ]
+        _, adj = _adjacency(edges)
+        for tokenless_only in (False, True):
+            assert _positive_cycle(adj, lam, tokenless_only) == (
+                _oracle_positive_cycle(adj, lam, tokenless_only)
+            )
+        _assert_matches_oracle(edges)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_real_circuits_match_frozen_oracle(monkeypatch, kernel, technique):
+    """Every II the pipeline solves while preparing and analysing a paper
+    kernel — each CFC's ``cfc.ii()``, In-order's per-candidate checks,
+    token-flow's per-CFC predictions — equals the frozen oracle, and so
+    do the reported critical cycles."""
+    solved = []  # (caller module, edges)
+
+    def recording(owner):
+        def solve(edges):
+            edges = list(edges)
+            solved.append((owner, edges))
+            return max_cycle_ratio(edges)
+        return solve
+
+    for mod in (cfc_mod, tokenflow_mod, inorder_mod):
+        monkeypatch.setattr(mod, "max_cycle_ratio", recording(mod))
+
+    prep = prepare_circuit(kernel, technique, scale="small")
+    start = len(solved)
+    analysis = analyze_circuit(prep.circuit, prep.cfcs, prep.decisions)
+
+    assert solved
+    for _, edges in solved:
+        _assert_matches_oracle(edges)
+    for cfc in list(prep.cfcs) + critical_cfcs(prep.circuit):
+        _assert_matches_oracle(cfc.weighted_edges())
+    # Token-flow's predictions quote exactly the oracle's answers.
+    predicted = [
+        (p.ratio, p.critical_cycle)
+        for p in analysis.predictions.values()
+        if p.ratio is not None
+    ]
+    want = [
+        _oracle_max_cycle_ratio(edges)
+        for owner, edges in solved[start:]
+        if owner is tokenflow_mod
+    ]
+    assert predicted == [
+        (ii, tuple(str(n) for n in cycle))
+        for ii, cycle in (w for w in want if not isinstance(w, str))
+    ]
