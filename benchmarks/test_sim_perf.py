@@ -10,15 +10,7 @@ representative Table 2 kernels in one process:
 * **steady-state throughput** — cycles/sec over the engine run loop
   only, measured on a warm engine.
 
-A fourth column benchmarks the codegen backend with steady-state
-fast-forward on the kernels — measured *interleaved* with the plain
-codegen runs, because FF on these kernels is a parity check (the
-II-seeded probe governor disables itself after a few write-counter
-checks) and separate measurement blocks let host drift bias the ratio —
-and a dedicated periodic streaming circuit records the fast-forward
-headline speedup (the kernels' phase changes limit how long any one
-period survives; the streaming circuit is the shape fast-forward exists
-for).  A fifth column measures the batched (lane-parallel) codegen
+A fourth column measures the batched (lane-parallel) codegen
 backend at 8 lanes of distinct input sets, reporting per-dataset
 throughput against a lanes=1 batch.  A dedicated ``divergent_lanes``
 section runs ``gsumif`` — whose data-dependent branch diverges
@@ -43,7 +35,6 @@ non-gating step and uploads the artifact.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -53,13 +44,6 @@ import time
 import pytest
 
 from repro.analysis import critical_cfcs, insert_timing_buffers, place_buffers
-from repro.circuit import (
-    DataflowCircuit,
-    ElasticBuffer,
-    Entry,
-    FunctionalUnit,
-    Sink,
-)
 from repro.core import crush
 from repro.frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
 from repro.frontend.kernels import build
@@ -73,9 +57,7 @@ ARTIFACT = os.path.join(REPO_ROOT, "BENCH_sim.json")
 #: suite's cycle-count heavyweight (gemm, ~82k cycles at paper scale).
 KERNELS = ("atax", "bicg", "gemm")
 SCALE = "paper"
-#: Backends measured standalone; codegen (with and without fast-forward)
-#: is measured by :func:`_measure_ff_pair` with interleaved repeats.
-BACKENDS_MEASURED = ("event", "compiled")
+BACKENDS_MEASURED = ("event", "compiled", "codegen")
 
 #: Lane count for the batched-throughput column; seeds are distinct so
 #: every lane simulates a different input set (the interesting case).
@@ -120,8 +102,7 @@ def _time_setup(lowered, backend: str) -> float:
     return time.perf_counter() - t0
 
 
-def _measure(lowered, backend: str, fast_forward: bool = False,
-             repeats: int = 2):
+def _measure(lowered, backend: str, repeats: int = 2):
     setup_cold = _time_setup(lowered, backend)
     setup_warm = _time_setup(lowered, backend)
     # The run's own engine build now hits every per-structure cache, so
@@ -129,8 +110,7 @@ def _measure(lowered, backend: str, fast_forward: bool = False,
     # damps scheduler noise (cycle counts are identical by construction).
     wall = math.inf
     for _ in range(repeats):
-        run = simulate_kernel(lowered, max_cycles=4_000_000, backend=backend,
-                              fast_forward=fast_forward or None)
+        run = simulate_kernel(lowered, max_cycles=4_000_000, backend=backend)
         wall = min(wall, run.sim_wall_s)
     return {
         "cycles": run.cycles,
@@ -140,61 +120,6 @@ def _measure(lowered, backend: str, fast_forward: bool = False,
         "sim_wall_s": round(wall, 4),
         "cycles_per_sec": round(run.cycles / wall, 1),
     }
-
-
-def _measure_ff_pair(lowered, repeats: int = 16):
-    """``codegen`` and ``codegen_ff`` with interleaved repeats.
-
-    Fast-forward on the bench kernels is a *parity* measurement: their
-    streaming stores keep every state projection unique, so the probe
-    governor disables hashing after two integer counter checks and the
-    rest of the run is the plain generated loop.  Individual runs on a
-    shared host carry interference spikes of ±20%, and interference
-    only ever *adds* wall time — so, as for every other column in the
-    artifact, each column's wall is the best (minimum) of its repeats,
-    which converges on the true uncontended wall once at least one
-    draw per column lands in a clean window.  Runs alternate plain/ff
-    in ABBA order so neither column systematically occupies a
-    different part of the measurement window; ``ff_speedup_paired``
-    additionally records the median of per-pair ratios as a
-    drift-robust cross-check.  One untimed warm-up pair first, so the
-    generated module, schedule memo and the fast-forward II hint are
-    all cached before anything is timed.
-    """
-    setup_cold = _time_setup(lowered, "codegen")
-    setup_warm = _time_setup(lowered, "codegen")
-    walls = {False: math.inf, True: math.inf}
-    runs = {}
-    for ff in (False, True):
-        runs[ff] = simulate_kernel(lowered, max_cycles=4_000_000,
-                                   backend="codegen", fast_forward=ff)
-    gc.collect()  # start the timed pairs from a settled heap
-    pair_ratios = []
-    for i in range(repeats):
-        pair = {}
-        for ff in ((False, True) if i % 2 == 0 else (True, False)):
-            run = simulate_kernel(lowered, max_cycles=4_000_000,
-                                  backend="codegen", fast_forward=ff)
-            walls[ff] = min(walls[ff], run.sim_wall_s)
-            pair[ff] = run.sim_wall_s
-            runs[ff] = run
-        pair_ratios.append(pair[False] / pair[True])
-    pair_ratios.sort()
-    mid = len(pair_ratios) // 2
-    paired = (pair_ratios[mid] if len(pair_ratios) % 2
-              else (pair_ratios[mid - 1] + pair_ratios[mid]) / 2)
-    out = {}
-    for ff, label in ((False, "codegen"), (True, "codegen_ff")):
-        out[label] = {
-            "cycles": runs[ff].cycles,
-            "fires": runs[ff].fires,
-            "setup_cold_s": round(setup_cold, 4),
-            "setup_warm_s": round(setup_warm, 4),
-            "sim_wall_s": round(walls[ff], 4),
-            "cycles_per_sec": round(runs[ff].cycles / walls[ff], 1),
-        }
-    out["codegen_ff"]["ff_speedup_paired"] = round(paired, 2)
-    return out
 
 
 def _measure_lanes(lowered, repeats: int = 2):
@@ -302,60 +227,15 @@ def measurements():
     out = {}
     for name in KERNELS:
         lowered = _prepare(name)
-        # The ff/plain parity pair is the noise-critical measurement
-        # (its gate is a ratio of two near-equal walls), so it runs
-        # first, before the event-backend measurement balloons the heap
-        # and GC pauses start landing on individual runs.
-        per = _measure_ff_pair(lowered)
-        for b in BACKENDS_MEASURED:
-            per[b] = _measure(lowered, b)
+        per = {b: _measure(lowered, b) for b in BACKENDS_MEASURED}
         per["codegen_lanes"] = _measure_lanes(lowered)
         out[name] = per
     return out
 
 
-def _streaming_circuit(n_tokens: int) -> DataflowCircuit:
-    """Entry -> buffered FU chain -> Sink: a long II-1 periodic steady
-    state, the shape fast-forward is built for."""
-    c = DataflowCircuit("stream")
-    prev = c.add(Entry("src", value=1.5, count=n_tokens))
-    for i in range(6):
-        buf = c.add(ElasticBuffer(f"b{i}", slots=2))
-        fu = c.add(FunctionalUnit(f"fu{i}", "fneg"))
-        c.connect(prev, 0, buf, 0)
-        c.connect(buf, 0, fu, 0)
-        prev = fu
-    sink = c.add(Sink("out"))
-    c.connect(prev, 0, sink, 0)
-    c.validate()
-    return c
-
-
 @pytest.fixture(scope="module")
 def divergent_measurement():
     return _measure_divergent(_prepare(DIVERGENT_KERNEL))
-
-
-@pytest.fixture(scope="module")
-def stream_measurement():
-    n = 200_000
-    out = {}
-    for label, ff in (("codegen", False), ("codegen_ff", True)):
-        c = _streaming_circuit(n)
-        sink = c.units["out"]
-        eng = create_engine(c, backend="codegen", fast_forward=ff)
-        t0 = time.perf_counter()
-        cycles = eng.run(lambda: sink.count >= n, max_cycles=10 * n)
-        wall = time.perf_counter() - t0
-        out[label] = {
-            "cycles": cycles,
-            "fires": eng.total_fires,
-            "sink_tail": sink.received[-1],
-            "sim_wall_s": round(wall, 4),
-            "cycles_per_sec": round(cycles / wall, 1),
-            "ff_periods_applied": eng.ff_periods_applied,
-        }
-    return out
 
 
 def test_backends_agree_on_bench_kernels(measurements):
@@ -365,20 +245,6 @@ def test_backends_agree_on_bench_kernels(measurements):
                  if "fires" in m}
         assert len(set(cycles.values())) == 1, (name, cycles)
         assert len(set(fires.values())) == 1, (name, fires)
-
-
-def test_fast_forward_never_slows_kernels(measurements):
-    """Regression guard: fast-forward finds no period on the kernels
-    (their stores keep every projection unique), so the II-seeded probe
-    governor must disable itself after a few integer counter checks and
-    the measured throughput must be *parity* with the plain loop.  The
-    ratio compares best-of-16 interleaved walls (see
-    ``_measure_ff_pair``); the floor leaves a small margin for the
-    residual jitter of the two minima on a shared host."""
-    for name, per in measurements.items():
-        ratio = (per["codegen_ff"]["cycles_per_sec"]
-                 / per["codegen"]["cycles_per_sec"])
-        assert ratio >= 0.97, (name, round(ratio, 3))
 
 
 def test_batched_lanes_speedup_per_dataset(measurements):
@@ -406,17 +272,7 @@ def test_divergent_mask_lanes_speedup_per_dataset(divergent_measurement):
         divergent_measurement)
 
 
-def test_fast_forward_exact_and_engaged_on_stream(stream_measurement):
-    plain, ff = (stream_measurement["codegen"],
-                 stream_measurement["codegen_ff"])
-    assert ff["cycles"] == plain["cycles"]
-    assert ff["fires"] == plain["fires"]
-    assert ff["sink_tail"] == plain["sink_tail"]
-    assert ff["ff_periods_applied"] > 0
-
-
-def test_write_bench_artifact(measurements, stream_measurement,
-                              divergent_measurement):
+def test_write_bench_artifact(measurements, divergent_measurement):
     kernels = {}
     sp_compiled, sp_codegen, sp_lanes = [], [], []
     for name, per in measurements.items():
@@ -424,8 +280,6 @@ def test_write_bench_artifact(measurements, stream_measurement,
                     / per["event"]["cycles_per_sec"], 2)
         spg = round(per["codegen"]["cycles_per_sec"]
                     / per["event"]["cycles_per_sec"], 2)
-        spf = round(per["codegen_ff"]["cycles_per_sec"]
-                    / per["codegen"]["cycles_per_sec"], 2)
         spl = per["codegen_lanes"]["speedup_per_dataset"]
         sp_compiled.append(spc)
         sp_codegen.append(spg)
@@ -435,16 +289,11 @@ def test_write_bench_artifact(measurements, stream_measurement,
             cycles=per["codegen"]["cycles"],
             speedup_compiled_vs_event=spc,
             speedup_codegen_vs_event=spg,
-            speedup_ff_vs_codegen=spf,
             speedup_lanes8_per_dataset=spl,
         )
     geo_compiled = _geomean(sp_compiled)
     geo_codegen = _geomean(sp_codegen)
     geo_lanes = _geomean(sp_lanes)
-    stream_speedup = round(
-        stream_measurement["codegen_ff"]["cycles_per_sec"]
-        / stream_measurement["codegen"]["cycles_per_sec"], 2,
-    )
     artifact = {
         "bench": "sim_backend_throughput",
         "scale": SCALE,
@@ -459,19 +308,7 @@ def test_write_bench_artifact(measurements, stream_measurement,
         "geomean_speedup_codegen_vs_event": geo_codegen,
         "geomean_speedup_lanes8_per_dataset": geo_lanes,
         "divergent_lanes": divergent_measurement,
-        "fast_forward_stream": {
-            "circuit": "Entry -> 6x(ElasticBuffer(2) -> fneg) -> Sink, "
-                       "200k tokens",
-            "codegen": stream_measurement["codegen"],
-            "codegen_ff": {k: v for k, v in
-                           stream_measurement["codegen_ff"].items()
-                           if k != "sink_tail"},
-            "speedup_ff_vs_codegen": stream_speedup,
-        },
     }
-    for per in artifact["fast_forward_stream"].values():
-        if isinstance(per, dict):
-            per.pop("sink_tail", None)
     with open(ARTIFACT, "w") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -480,4 +317,3 @@ def test_write_bench_artifact(measurements, stream_measurement,
     assert geo_compiled >= 1.0
     assert geo_codegen >= 3.5, sp_codegen
     assert min(sp_lanes) >= 3.0, sp_lanes
-    assert stream_speedup >= 10.0, stream_measurement

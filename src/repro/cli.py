@@ -70,10 +70,9 @@ def _cmd_run(args) -> int:
             print("error: --seeds with several values needs simulation "
                   "(drop --no-sim)", file=sys.stderr)
             return 2
-        if args.sanitize or args.fast_forward:
-            print("error: --sanitize/--fast-forward are scalar-only and "
-                  "cannot combine with a multi-seed batched run",
-                  file=sys.stderr)
+        if args.sanitize:
+            print("error: --sanitize is scalar-only and cannot combine "
+                  "with a multi-seed batched run", file=sys.stderr)
             return 2
         backend = args.sim_backend or DEFAULT_BACKEND
         if lanes is not None and lanes > 1 and backend == "event":
@@ -138,7 +137,6 @@ def _cmd_run(args) -> int:
         sim_backend=args.sim_backend,
         lint=args.lint,
         sanitize=args.sanitize,
-        fast_forward=args.fast_forward,
         seed=seeds[0],
     )
     print(f"kernel      : {row.kernel} [{row.style}, scale={args.scale}]")
@@ -604,11 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="simulation backend (default: $REPRO_SIM_BACKEND "
                           "or compiled); all are bit-identical")
-    p_r.add_argument("--fast-forward", action="store_true", default=None,
-                     help="codegen backend only: detect the periodic "
-                          "steady state and advance whole periods "
-                          "analytically (also: REPRO_SIM_FF=1); "
-                          "incompatible with --sanitize")
     p_r.add_argument("--lint", choices=("off", "warn", "strict"),
                      default="warn",
                      help="static pre-simulation gate (default: warn — "

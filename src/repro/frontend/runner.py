@@ -76,7 +76,6 @@ def simulate_kernel(
     backend: Optional[str] = None,
     profile: Optional[SimProfile] = None,
     sanitize: object = None,
-    fast_forward: Optional[bool] = None,
 ) -> KernelRun:
     """Run ``lowered`` to completion; verify results against the reference.
 
@@ -91,9 +90,7 @@ def simulate_kernel(
     handshake-protocol sanitizer (None defers to the
     ``REPRO_SIM_SANITIZE`` environment variable; a pre-built
     :class:`~repro.sim.sanitize.HandshakeSanitizer` instance is adopted
-    as-is, e.g. one armed with SAN005 alias pairs), and ``fast_forward``
-    enables steady-state period skipping on the codegen backend (None
-    defers to ``REPRO_SIM_FF``).
+    as-is, e.g. one armed with SAN005 alias pairs).
     """
     kernel = lowered.kernel
     if inputs is None:
@@ -107,8 +104,7 @@ def simulate_kernel(
 
     engine = create_engine(
         lowered.circuit, backend=backend,
-        memory=memory, trace=trace, profile=profile,
-        sanitize=sanitize, fast_forward=fast_forward,
+        memory=memory, trace=trace, profile=profile, sanitize=sanitize,
     )
     end = lowered.circuit.unit(lowered.end_sink)
     expected_writes = reference.writes
@@ -156,7 +152,6 @@ def simulate_kernel_batch(
     max_cycles: int = 2_000_000,
     backend: Optional[str] = None,
     sanitize: Optional[bool] = None,
-    fast_forward: Optional[bool] = None,
 ) -> List[KernelRun]:
     """Run one input set per seed through a single batched engine.
 
@@ -169,9 +164,8 @@ def simulate_kernel_batch(
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
-    per-lane time to report).  Observers (trace/profile/sanitizer) and
-    fast-forward are scalar-only; requesting them here raises
-    :class:`SimulationError`.
+    per-lane time to report).  Observers (trace/profile/sanitizer) are
+    scalar-only; requesting them here raises :class:`SimulationError`.
     """
     kernel = lowered.kernel
     lanes = len(seeds)
@@ -192,7 +186,7 @@ def simulate_kernel_batch(
 
     engine = create_engine(
         lowered.circuit, backend=backend, lanes=lanes, memories=memories,
-        sanitize=sanitize, fast_forward=fast_forward,
+        sanitize=sanitize,
     )
     end_name = lowered.end_sink
 

@@ -340,7 +340,6 @@ def run_technique(
     sim_backend: Optional[str] = None,
     lint: str = "warn",
     sanitize: bool = False,
-    fast_forward: Optional[bool] = None,
     seed: int = 7,
     **size_overrides: int,
 ) -> TechniqueResult:
@@ -361,10 +360,6 @@ def run_technique(
     the simulation (see :mod:`repro.sim.sanitize`); it cannot change the
     cycle count, only fail on latency-insensitive contract violations.
 
-    ``fast_forward`` enables steady-state period skipping (codegen
-    backend only; see :mod:`repro.sim.fastforward`).  Like the backend
-    choice, it cannot change any metric.
-
     ``seed`` selects the input data set (``cycles`` depends on it for
     data-dependent kernels); it is recorded in the result.
     """
@@ -383,7 +378,6 @@ def run_technique(
             max_cycles=max_cycles,
             backend=sim_backend,
             sanitize=sanitize,
-            fast_forward=fast_forward,
             seed=seed,
         )
         cycles = run.cycles
@@ -460,8 +454,8 @@ def run_technique_batch(
     engines guarantee bit-identical to scalar runs.  ``opt_time_s`` is
     the shared preparation's wall clock, identical across the rows.
 
-    Observers (``sanitize``) and ``fast_forward`` are scalar-only and
-    deliberately not offered here.
+    Observers (``sanitize``) are scalar-only and deliberately not offered
+    here.
     """
     if lint not in LINT_MODES:
         raise ReproError(f"unknown lint mode {lint!r}; use {LINT_MODES}")

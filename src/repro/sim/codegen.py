@@ -37,12 +37,12 @@ source *plus* the sweep cache's repro-source salt and the interpreter's
 bytecode magic, so editing any repro module — in particular this
 generator — or switching Python versions can never serve stale code.
 
-Steady-state fast-forward (``fast_forward=True`` / ``--fast-forward`` /
-``$REPRO_SIM_FF``) lives in :mod:`repro.sim.fastforward` and is wired
-into :meth:`CodegenEngine.run`; it is rejected at construction when a
-``Trace`` or ``HandshakeSanitizer`` is attached (those observers need
-every cycle), and :class:`~repro.sim.profile.SimProfile` is rejected
-always — the generated loop has no per-unit instrumentation points.
+The generated loop drives an attached ``Trace`` and
+``HandshakeSanitizer`` itself; :class:`~repro.sim.profile.SimProfile` is
+rejected at construction — the loop has no per-unit instrumentation
+points.  The laned lockstep and mask-loop variants (``lanes=True`` /
+:func:`generate_mask_source`) load through the same :func:`load_module`
+cache and back :class:`~repro.sim.batched.BatchedCodegenEngine`.
 """
 
 from __future__ import annotations
@@ -92,21 +92,11 @@ from .profile import SimProfile
 from .signal_graph import CircuitSchedule, compile_schedule
 from .trace import Trace
 
-#: Environment switch for steady-state fast-forward (codegen backend only).
-FF_ENV = "REPRO_SIM_FF"
-
 #: Environment override for the generated-module disk cache directory.
 CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE"
 
 #: Magic prefix of the on-disk marshalled bytecode payloads.
 _PYC_HEADER = b"RCG1"
-
-
-def fast_forward_default() -> bool:
-    """Fast-forward default from ``$REPRO_SIM_FF`` (off unless set)."""
-    return os.environ.get(FF_ENV, "").strip().lower() in (
-        "1", "true", "on", "yes"
-    )
 
 
 def codegen_cache_dir() -> Path:
@@ -826,7 +816,6 @@ class CodegenEngine(BaseEngine):
         deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
         profile: Optional[SimProfile] = None,
         sanitize: Union[bool, "HandshakeSanitizer", None] = None,
-        fast_forward: Optional[bool] = None,
     ):
         if profile is not None:
             raise SimulationError(
@@ -837,22 +826,6 @@ class CodegenEngine(BaseEngine):
         self._init_common(
             circuit, memory, trace, deadlock_window, None, sanitize
         )
-        if fast_forward is None:
-            fast_forward = fast_forward_default()
-        self.fast_forward = bool(fast_forward)
-        if self.fast_forward and self.trace is not None:
-            raise SimulationError(
-                "fast-forward advances whole periods analytically and "
-                "cannot drive a Trace (it needs every cycle); detach the "
-                "trace or disable fast-forward"
-            )
-        if self.fast_forward and self.sanitizer is not None:
-            raise SimulationError(
-                "fast-forward advances whole periods analytically and "
-                "cannot drive the HandshakeSanitizer (it needs every "
-                "cycle); drop --sanitize/REPRO_SIM_SANITIZE or disable "
-                "fast-forward"
-            )
 
         schedule = compile_schedule(circuit)
         self.schedule = schedule
@@ -863,7 +836,6 @@ class CodegenEngine(BaseEngine):
         }
 
         nch = schedule.nch
-        self._nch = nch
         self.valid = bytearray(nch)
         self.ready = bytearray(nch)
         self.fired = bytearray(nch)
@@ -872,13 +844,6 @@ class CodegenEngine(BaseEngine):
         self._aflags = bytearray(b"\x01" * schedule.n_occ)
         self._kflags = bytearray(schedule.n_units)
         self._quiet = False
-        #: The codegen backend never falls back to generic evaluation —
-        #: it raises instead — so this mirror of the compiled backend's
-        #: attribute is always empty.
-        self.generic_units: List[str] = []
-        #: Whole periods applied analytically by fast-forward (see
-        #: :mod:`repro.sim.fastforward`); stays 0 unless it engages.
-        self.ff_periods_applied = 0
 
         self._reset_units(units)
 
@@ -927,13 +892,6 @@ class CodegenEngine(BaseEngine):
 
     def run(self, done, max_cycles: int = 1_000_000) -> int:
         """Run until ``done()`` holds; same contract as BaseEngine.run."""
-        if self.fast_forward:
-            from .fastforward import run_fast_forward
-
-            status = run_fast_forward(self, done, max_cycles)
-            self._raise_status(status, max_cycles)
-            return self.cycle
-
         trace = self.trace
         rec = trace.record if trace is not None and trace.active else None
         san = self.sanitizer

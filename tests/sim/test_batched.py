@@ -4,13 +4,13 @@ The batched engines (`repro.sim.batched`) promise bit-identical results
 to B scalar runs — per-lane cycle counts, fire counts, memory contents
 and sink values — whether the batch runs lockstep (shared control, lane
 tuples for data), promotes to mask-lane (MIMD) execution after a
-:class:`LaneDivergence` (generated-loop backends), or re-executes each
+:class:`LaneDivergence` (generated-loop engine), or re-executes each
 lane on a scalar engine (event backend).  The scalar engines are the
 oracle.
 
-Also covered: the observer/fast-forward refusal contract (batched mode
-rejects Trace/SimProfile/sanitizer/fast-forward with clean errors, the
-profile CLI exits 2 on ``--lanes``), per-seed sweep cache rows
+Also covered: the observer refusal contract (batched mode rejects
+Trace/SimProfile/sanitizer with clean errors, the profile CLI exits 2
+on ``--lanes``), per-seed sweep cache rows
 (batched-vs-scalar and warm-vs-cold equivalence), and the codegen disk
 cache's laned/scalar key separation (a laned module must never poison a
 scalar run, or vice versa).
@@ -334,7 +334,7 @@ def test_random_fork_join_batched_lanes_match_scalar(
 
 
 # ---------------------------------------------------------------------------
-# observer / fast-forward refusal contract
+# observer refusal contract
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -346,8 +346,6 @@ def test_batched_refuses_observers(backend):
         create_engine(c, backend=backend, lanes=2, profile=SimProfile())
     with pytest.raises(SimulationError, match="[Ss]anitizer"):
         create_engine(c, backend=backend, lanes=2, sanitize=True)
-    with pytest.raises(SimulationError, match="fast-forward"):
-        create_engine(c, backend=backend, lanes=2, fast_forward=True)
 
 
 def test_batched_refuses_env_defaulted_observers(monkeypatch):
@@ -355,13 +353,8 @@ def test_batched_refuses_env_defaulted_observers(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
     with pytest.raises(SimulationError, match="[Ss]anitizer"):
         create_engine(c, backend="compiled", lanes=2)
-    monkeypatch.delenv("REPRO_SIM_SANITIZE")
-    monkeypatch.setenv("REPRO_SIM_FF", "1")
-    with pytest.raises(SimulationError, match="fast-forward"):
-        create_engine(c, backend="codegen", lanes=2)
     # Explicit opt-out must win over the environment, as in scalar mode.
-    monkeypatch.setenv("REPRO_SIM_FF", "0")
-    eng = create_engine(c, backend="codegen", lanes=2)
+    eng = create_engine(c, backend="codegen", lanes=2, sanitize=False)
     assert eng.lanes == 2
 
 
@@ -461,13 +454,11 @@ def test_batched_sweep_isolates_failing_batches(tmp_path):
 
 @pytest.fixture
 def codegen_cache(tmp_path, monkeypatch):
-    """Isolated disk cache + empty in-process memos for every test."""
-    import repro.sim.batched as bt
+    """Isolated disk cache + an empty in-process memo for every test."""
     import repro.sim.codegen as cg
 
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
     monkeypatch.setattr(cg, "_MODULE_CACHE", type(cg._MODULE_CACHE)())
-    monkeypatch.setattr(bt, "_INPROC_CACHE", type(bt._INPROC_CACHE)())
     return tmp_path / "cgc"
 
 
@@ -501,18 +492,20 @@ def test_laned_module_cannot_poison_scalar_runs(codegen_cache):
     assert {scalar.codegen_key, batched.codegen_key} <= cached
 
 
-def test_batched_codegen_reloads_laned_module_from_disk(codegen_cache):
+@pytest.mark.parametrize("backend", ["compiled", "codegen"])
+def test_batched_codegen_reloads_laned_module_from_disk(codegen_cache,
+                                                        backend):
     import repro.sim.codegen as cg
 
     values = [4.0, 5.0]
-    first = BatchedCodegenEngine(_chain_circuit(values), lanes=3)
+    first = create_engine(_chain_circuit(values), backend=backend, lanes=3)
     assert first.codegen_origin == "generated"
     # New in-process memo: the second construction must come from disk.
     cg._MODULE_CACHE.clear()
-    second = BatchedCodegenEngine(_chain_circuit(values), lanes=3)
+    second = create_engine(_chain_circuit(values), backend=backend, lanes=3)
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
     # Same module object serves any lane count: it binds LB at runtime.
-    third = BatchedCodegenEngine(_chain_circuit(values), lanes=5)
+    third = create_engine(_chain_circuit(values), backend=backend, lanes=5)
     assert third.codegen_key == first.codegen_key
     assert third.codegen_origin == "memory"

@@ -1,6 +1,6 @@
 """Mask-lane (MIMD) execution tests: divergence without scalar fallback.
 
-The generated-loop batched engines promote from lockstep to mask-lane
+The generated-loop batched engine promotes from lockstep to mask-lane
 execution at the first control divergence (`repro.sim.batched`): every
 1-bit control signal becomes a per-lane bitmask integer and each lane
 gets its own done/cycle-freeze bit.  These tests pin the promotion
@@ -49,7 +49,6 @@ from repro.frontend.runner import default_inputs
 from repro.frontend.interp import run_reference
 from repro.pipeline import TECHNIQUES
 from repro.sim import Memory, create_engine
-from repro.sim.batched import BatchedCodegenEngine
 from repro.sim.codegen import (
     generate_mask_source,
     generate_source,
@@ -303,12 +302,10 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
 
 @pytest.fixture
 def codegen_cache(tmp_path, monkeypatch):
-    import repro.sim.batched as bt
     import repro.sim.codegen as cg
 
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cgc"))
     monkeypatch.setattr(cg, "_MODULE_CACHE", type(cg._MODULE_CACHE)())
-    monkeypatch.setattr(bt, "_INPROC_CACHE", type(bt._INPROC_CACHE)())
     return tmp_path / "cgc"
 
 
@@ -327,10 +324,11 @@ def mask_generations(monkeypatch):
     return calls
 
 
-def _diverge_batch(lanes=3):
+def _diverge_batch(lanes=3, backend="codegen"):
     memories = [_flags_memory(lane) for lane in range(lanes)]
-    engine = BatchedCodegenEngine(
-        _divergent_circuit(), lanes=lanes, memories=memories,
+    engine = create_engine(
+        _divergent_circuit(), backend=backend, lanes=lanes,
+        memories=memories,
     )
     cycles = engine.run_lanes(
         lambda lane: (engine.sink_count("st", lane)
@@ -415,17 +413,18 @@ def test_divergent_batch_loads_mask_module_once(codegen_cache,
     assert cycles_b == cycles_a
 
 
-def test_disk_loaded_module_still_promotes(codegen_cache):
+@pytest.mark.parametrize("backend", ["compiled", "codegen"])
+def test_disk_loaded_module_still_promotes(codegen_cache, backend):
     import repro.sim.codegen as cg
 
-    first, cycles_a, recv_a = _diverge_batch()
+    first, cycles_a, recv_a = _diverge_batch(backend=backend)
     assert first.codegen_origin == "generated"
     assert first.mask_codegen_origin == "generated"
     assert first.mask_promotions == 1
     # Fresh in-process memo: both modules must come back from disk — a
     # poisoned/stale artifact would fail here.
     cg._MODULE_CACHE.clear()
-    second, cycles_b, recv_b = _diverge_batch()
+    second, cycles_b, recv_b = _diverge_batch(backend=backend)
     assert second.codegen_key == first.codegen_key
     assert second.codegen_origin == "disk"
     assert second.mask_codegen_key == first.mask_codegen_key
