@@ -58,11 +58,10 @@ def _parse_seeds(spec: str) -> List[int]:
 
 def _cmd_run(args) -> int:
     from .pipeline import run_technique, run_technique_batch
-    from .sim import DEFAULT_BACKEND, lanes_default
+    from .sim import DEFAULT_BACKEND
 
     seeds = _parse_seeds(args.seeds)
-    lanes = args.lanes if args.lanes is not None else lanes_default()
-    if lanes is not None and lanes < 1:
+    if args.lanes is not None and args.lanes < 1:
         print("error: --lanes wants a positive integer", file=sys.stderr)
         return 2
     if len(seeds) > 1:
@@ -74,14 +73,14 @@ def _cmd_run(args) -> int:
             print("error: --sanitize is scalar-only and cannot combine "
                   "with a multi-seed batched run", file=sys.stderr)
             return 2
-        backend = args.sim_backend or DEFAULT_BACKEND
-        if lanes is not None and lanes > 1 and backend == "event":
-            print("error: --lanes/REPRO_SIM_LANES > 1 needs a "
-                  "generated-loop backend (compiled/codegen); the event "
-                  "backend has no lane-parallel execution — drop --lanes "
-                  "or pick another --sim-backend", file=sys.stderr)
+        if (args.sim_backend or DEFAULT_BACKEND) == "event":
+            print("error: several --seeds run as lanes of a batched "
+                  "simulation, which needs a generated-loop backend "
+                  "(compiled/codegen); the event backend simulates one "
+                  "input set at a time — pick another --sim-backend or "
+                  "run one seed at a time", file=sys.stderr)
             return 2
-        width = lanes or len(seeds)
+        width = args.lanes or len(seeds)
         chunks = [seeds[i:i + width] for i in range(0, len(seeds), width)]
         batches = [
             run_technique_batch(
@@ -112,17 +111,11 @@ def _cmd_run(args) -> int:
         # One head row per batch carries that batch's divergence
         # provenance (every row of a batch shares it).
         heads = [rows[0] for rows in batches]
-        fell_back = [h for h in heads if h.fallback_lanes]
         promoted = [h for h in heads if h.mask_promotions]
-        if fell_back:
-            total = sum(h.fallback_lanes for h in fell_back)
-            line = (f"scalar fallback in {len(fell_back)}/{n_b} batch(es) "
-                    f"({total} lane(s) re-ran on a scalar engine)")
-        elif promoted:
+        if promoted:
             sites = sorted({h.divergence for h in promoted if h.divergence})
             line = (f"mask-lanes in {len(promoted)}/{n_b} batch(es) "
-                    f"(diverged on {', '.join(sites)}; "
-                    f"0 scalar-fallback lanes)")
+                    f"(diverged on {', '.join(sites)})")
         else:
             line = "lockstep (no control divergence)"
         print(f"execution   : {line}")
@@ -192,20 +185,18 @@ def _cmd_sweep(args) -> int:
         write_outputs,
     )
 
-    from .sim import DEFAULT_BACKEND, lanes_default
+    from .sim import DEFAULT_BACKEND
 
     if args.lanes is not None and args.lanes < 2:
         print("error: --lanes wants an integer >= 2 (a 1-lane batch is a "
               "scalar run)", file=sys.stderr)
         return 2
-    if args.lanes is None:
-        args.lanes = lanes_default()
     backend = args.sim_backend or DEFAULT_BACKEND
     if args.lanes is not None and backend == "event":
-        print("error: --lanes/REPRO_SIM_LANES > 1 needs a generated-loop "
-              "backend (compiled/codegen); the event backend has no "
-              "lane-parallel execution — drop --lanes or pick another "
-              "--sim-backend", file=sys.stderr)
+        print("error: --lanes needs a generated-loop backend "
+              "(compiled/codegen); the event backend has no lane-parallel "
+              "execution — drop --lanes or pick another --sim-backend",
+              file=sys.stderr)
         return 2
     jobs = build_matrix(
         kernels=args.kernel or None,
@@ -242,37 +233,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .analysis import critical_cfcs, insert_timing_buffers, place_buffers
-    from .baselines import inorder_share, naive_share
-    from .core import crush
     from .errors import SimulationError
-    from .frontend import lower_kernel, simulate_kernel
-    from .frontend.kernels import build
+    from .frontend import simulate_kernel
+    from .pipeline import prepare_circuit
     from .sim import DEFAULT_BACKEND, SimProfile
 
-    if args.lanes is not None:
-        # Same contract as the engine itself: the lane-parallel loop has
-        # no per-unit instrumentation points, so profiling is scalar-only.
-        print("error: profiling is scalar-only (the lane-parallel loop "
-              "has no per-unit instrumentation points); drop --lanes "
-              "(batched divergence/mask-promotion counters are reported "
-              "by 'repro run --seeds ...' and the sweep CSV instead)",
-              file=sys.stderr)
-        return 2
-
     # Prepare the exact circuit the evaluation pipeline simulates.
-    kernel = build(args.kernel, scale=args.scale)
-    lowered = lower_kernel(kernel, style=args.style)
-    circuit = lowered.circuit
-    cfcs = critical_cfcs(circuit)
-    place_buffers(circuit, cfcs)
-    if args.technique == "naive":
-        naive_share(circuit, cfcs)
-    elif args.technique == "inorder":
-        inorder_share(circuit, cfcs)
-    else:
-        crush(circuit, cfcs)
-    insert_timing_buffers(circuit)
+    lowered = prepare_circuit(
+        args.kernel, args.technique, style=args.style, scale=args.scale
+    ).lowered
 
     if args.backend == "both":
         # Both *instrumented* backends; codegen has no per-unit hooks.
@@ -496,7 +465,7 @@ def _cmd_analyze_memdep(args) -> int:
                 kn, tech, style=args.style, scale=args.scale
             )
             dep = analyze_memdep(prep)
-            lint = lint_prepared(prep)
+            lint = lint_prepared(prep, memdep=dep)
             md_diags = [
                 d for d in lint.diagnostics if d.code.startswith("MD")
             ]
@@ -615,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "row each (default: 7)")
     p_r.add_argument("--lanes", type=int, default=None, metavar="B",
                      help="cap the lane count of a multi-seed run: seeds "
-                          "chunk into batches of <= B (default: "
-                          "$REPRO_SIM_LANES, else all seeds in one "
-                          "batch; 1 = one scalar-width batch per seed)")
+                          "chunk into batches of <= B (default: all seeds "
+                          "in one batch; 1 = one scalar-width batch per "
+                          "seed)")
     p_r.set_defaults(fn=_cmd_run)
 
     p_w = sub.add_parser("wrapper", help="characterize a standalone wrapper")
@@ -694,9 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("--max-cycles", type=int, default=4_000_000)
     p_p.add_argument("--sanitize", action="store_true",
                      help="assert the handshake protocol while profiling")
-    p_p.add_argument("--lanes", type=int, default=None, metavar="B",
-                     help="rejected with a clean error: profiling is "
-                          "scalar-only")
     p_p.set_defaults(fn=_cmd_profile)
 
     p_l = sub.add_parser(

@@ -32,11 +32,9 @@ class KernelRun:
     reference: RefResult
     sim_wall_s: float
     mismatches: Dict[str, float] = field(default_factory=dict)
-    #: Batched-run provenance (all zero/None on scalar runs and on
-    #: lockstep batches): lanes re-executed on a scalar engine after a
-    #: divergence, lockstep→mask-lane promotions performed, and the
+    #: Batched-run provenance (zero/None on scalar runs and on lockstep
+    #: batches): lockstep→mask-lane promotions performed, and the
     #: diverging control site as ``"<channel>@<cycle>"``.
-    fallback_lanes: int = 0
     mask_promotions: int = 0
     divergence: Optional[str] = None
 
@@ -157,10 +155,12 @@ def simulate_kernel_batch(
 
     Equivalent to ``[simulate_kernel(lowered, seed=s, ...) for s in seeds]``
     — same per-lane cycle counts, fire counts, memory contents and
-    reference checks, bit for bit — but the lane-parallel backends
-    (:mod:`repro.sim.batched`) evaluate all lanes in one generated-loop
+    reference checks, bit for bit — but the batched engine
+    (:mod:`repro.sim.batched`) evaluates all lanes in one generated-loop
     pass, so the batch costs far less wall clock than ``len(seeds)``
-    scalar runs.
+    scalar runs.  ``backend`` is ``"compiled"`` or ``"codegen"`` (both
+    build the same batched engine); ``"event"`` simulates one input set
+    at a time and raises :class:`SimulationError`.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
@@ -201,8 +201,7 @@ def simulate_kernel_batch(
     # together), so when the per-lane targets agree lane 0 speaks for
     # the whole batch.  Distinct targets mean the executions differ by
     # construction; the engine then checks every lane each cycle and
-    # promotes to mask-lane execution at the first partial completion
-    # (the event backend re-runs every lane scalar instead).
+    # promotes to mask-lane execution at the first partial completion.
     uniform = len(set(expected)) == 1
 
     t0 = time.perf_counter()
@@ -211,10 +210,8 @@ def simulate_kernel_batch(
     )
     wall = time.perf_counter() - t0
 
-    div = getattr(engine, "divergence", None)
+    div = engine.divergence
     div_site = f"{div.channel}@{div.cycle}" if div is not None else None
-    fallback_lanes = getattr(engine, "fallback_lanes", 0)
-    mask_promotions = getattr(engine, "mask_promotions", 0)
 
     runs: List[KernelRun] = []
     for lane, (memory, reference) in enumerate(zip(memories, references)):
@@ -242,8 +239,7 @@ def simulate_kernel_batch(
             arrays=arrays,
             reference=reference,
             sim_wall_s=wall,
-            fallback_lanes=fallback_lanes,
-            mask_promotions=mask_promotions,
+            mask_promotions=engine.mask_promotions,
             divergence=div_site,
         ))
     return runs

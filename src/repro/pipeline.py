@@ -62,11 +62,9 @@ class TechniqueResult:
     #: for data-dependent kernels).  Part of the row's identity.
     seed: int = 7
     #: Batched-run provenance (zero/empty on scalar rows and lockstep
-    #: batches): lanes that re-ran on a scalar engine after a divergence,
-    #: lockstep→mask-lane promotions, and the diverging control site
-    #: (``"<channel>@<cycle>"``).  Not metrics — the numbers they
+    #: batches): lockstep→mask-lane promotions and the diverging control
+    #: site (``"<channel>@<cycle>"``).  Not metrics — the numbers they
     #: annotate are bit-identical either way.
-    fallback_lanes: int = 0
     mask_promotions: int = 0
     divergence: str = ""
     #: Statically predicted steady-state II from the token-flow analyzer
@@ -129,7 +127,6 @@ class TechniqueResult:
             "lint_errors": self.lint_errors,
             "lint_warnings": self.lint_warnings,
             "seed": self.seed,
-            "fallback_lanes": self.fallback_lanes,
             "mask_promotions": self.mask_promotions,
             "divergence": self.divergence,
             "predicted_ii": self.predicted_ii,
@@ -141,8 +138,8 @@ class TechniqueResult:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TechniqueResult":
         """Inverse of :meth:`to_dict`.  Keys this class no longer has
-        (e.g. ``data_plane``, written by older sweeps) are ignored, so
-        earlier JSON artifacts still load."""
+        (e.g. ``data_plane`` or ``fallback_lanes``, written by older
+        sweeps) are ignored, so earlier JSON artifacts still load."""
         est = data.get("estimate")
         return cls(
             kernel=data["kernel"],
@@ -163,7 +160,6 @@ class TechniqueResult:
             lint_errors=data.get("lint_errors", 0),
             lint_warnings=data.get("lint_warnings", 0),
             seed=data.get("seed", 7),
-            fallback_lanes=data.get("fallback_lanes", 0),
             mask_promotions=data.get("mask_promotions", 0),
             divergence=data.get("divergence", ""),
             predicted_ii=data.get("predicted_ii", ""),
@@ -395,7 +391,6 @@ def _result_row(
     sim_backend: Optional[str],
     lint_errors: int,
     lint_warnings: int,
-    fallback_lanes: int = 0,
     mask_promotions: int = 0,
     divergence: str = "",
     predicted_ii: str = "",
@@ -423,7 +418,6 @@ def _result_row(
         lint_errors=lint_errors,
         lint_warnings=lint_warnings,
         seed=seed,
-        fallback_lanes=fallback_lanes,
         mask_promotions=mask_promotions,
         divergence=divergence,
         predicted_ii=predicted_ii,
@@ -451,7 +445,7 @@ def run_technique_batch(
     estimated **once** (those steps do not depend on input data), and
     the per-seed cycle counts come from one batched engine pass
     (:func:`repro.frontend.simulate_kernel_batch`), which the batched
-    engines guarantee bit-identical to scalar runs.  ``opt_time_s`` is
+    engine guarantees bit-identical to scalar runs.  ``opt_time_s`` is
     the shared preparation's wall clock, identical across the rows.
 
     Observers (``sanitize``) are scalar-only and deliberately not offered
@@ -475,7 +469,6 @@ def run_technique_batch(
         _result_row(
             prep, est, run.cycles, seed,
             sim_backend=sim_backend,
-            fallback_lanes=run.fallback_lanes,
             mask_promotions=run.mask_promotions,
             divergence=run.divergence or "",
             **cols,

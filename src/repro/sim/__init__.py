@@ -23,11 +23,11 @@ semantics:
     (differentially tested on all goldens and under hypothesis
     lockstep).  It cannot drive a :class:`SimProfile` and says so.
 
-``lanes=`` selects the batched family (:mod:`repro.sim.batched`):
-``"compiled"`` and ``"codegen"`` both map to
-:class:`BatchedCodegenEngine`, one lane-parallel generated loop loaded
-through the codegen disk cache, while ``"event"`` runs the lanes one
-after another on scalar event engines.
+``lanes=`` selects the one batched engine (:mod:`repro.sim.batched`):
+``"compiled"`` and ``"codegen"`` both build
+:class:`BatchedCodegenEngine`, a lane-parallel generated loop loaded
+through the codegen disk cache.  ``"event"`` is refused there: the
+event engine simulates one input set at a time.
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
 flag, or the ``REPRO_SIM_BACKEND`` environment variable.
@@ -43,14 +43,7 @@ duplicated — with violations reported as ``repro.lint`` diagnostics.
 import os
 
 from ..errors import SimulationError
-from .batched import (
-    BATCHED_BACKENDS,
-    LANES_ENV,
-    BatchedCodegenEngine,
-    BatchedEventEngine,
-    create_batched_engine,
-    lanes_default,
-)
+from .batched import BatchedCodegenEngine
 from .codegen import CodegenEngine
 from .compiled import CompiledEngine
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine, Engine
@@ -80,58 +73,56 @@ def create_engine(circuit, backend=None, lanes=None, memories=None,
     (``memory``, ``trace``, ``deadlock_window``, ``profile``,
     ``sanitize``) are forwarded to the engine constructor.
 
-    ``lanes`` switches to the batched (lane-parallel) engine family
-    (:mod:`repro.sim.batched`): the returned engine evaluates ``lanes``
-    independent input sets per pass and exposes ``run_lanes`` /
-    ``sink_count`` / ``lane_fires`` instead of the scalar ``run``.
-    ``memories`` then supplies one :class:`Memory` per lane (instead of
-    the scalar ``memory=`` argument).
+    ``lanes`` switches to the batched (lane-parallel)
+    :class:`BatchedCodegenEngine` (:mod:`repro.sim.batched`), for either
+    generated-loop backend name: it evaluates ``lanes`` independent
+    input sets per pass and exposes ``run_lanes`` / ``sink_count`` /
+    ``lane_fires`` instead of the scalar ``run``.  ``memories`` then
+    supplies one :class:`Memory` per lane (instead of the scalar
+    ``memory=`` argument).
     """
     name = backend or DEFAULT_BACKEND
+    if name not in BACKENDS:
+        raise SimulationError(
+            f"unknown simulation backend {name!r}; "
+            f"choose from {sorted(BACKENDS)}"
+        )
     if lanes is not None:
-        if kwargs.get("memory") is not None:
+        if name == "event":
             raise SimulationError(
-                "batched engines take one memory per lane via memories=[...],"
-                " not the scalar memory= argument"
+                "the event backend simulates one input set at a time; "
+                "batched (lanes=) runs need 'compiled' or 'codegen'"
             )
-        kwargs.pop("memory", None)
-        return create_batched_engine(
-            circuit, name, lanes, memories=memories, **kwargs
+        if kwargs.pop("memory", None) is not None:
+            raise SimulationError(
+                "the batched engine takes one memory per lane via "
+                "memories=[...], not the scalar memory= argument"
+            )
+        return BatchedCodegenEngine(
+            circuit, lanes, memories=memories, **kwargs
         )
     if memories is not None:
         raise SimulationError(
             "memories= is only meaningful with lanes= (batched mode); "
             "scalar engines take a single memory="
         )
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown simulation backend {name!r}; "
-            f"choose from {sorted(BACKENDS)}"
-        ) from None
-    return cls(circuit, **kwargs)
+    return BACKENDS[name](circuit, **kwargs)
 
 
 __all__ = [
     "BACKENDS",
-    "BATCHED_BACKENDS",
     "BaseEngine",
     "BatchedCodegenEngine",
-    "BatchedEventEngine",
     "CodegenEngine",
     "CompiledEngine",
     "DEFAULT_BACKEND",
     "DEFAULT_DEADLOCK_WINDOW",
     "Engine",
     "HandshakeSanitizer",
-    "LANES_ENV",
     "Memory",
     "SANITIZE_ENV",
     "SimProfile",
     "Trace",
-    "create_batched_engine",
     "create_engine",
-    "lanes_default",
     "sanitize_default",
 ]

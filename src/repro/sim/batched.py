@@ -16,8 +16,8 @@ therefore the *control* behaviour is shared, only the data differs.
 * **Lockstep is checked, not assumed.**  Everywhere data feeds a control
   decision (branch condition, mux/demux select, the per-lane ``done``
   predicate) the generated code verifies the lanes agree; a disagreement
-  raises :class:`~repro.errors.LaneDivergence`.  The generated-loop
-  engines catch it (loop exit status 4) and **promote the batch to
+  raises :class:`~repro.errors.LaneDivergence`.  The engine catches it
+  (loop exit status 4) and **promote the batch to
   mask-lane (MIMD) execution**: a second generated module's
   ``make_mask_loop`` continues the pass with every 1-bit control signal
   packed as a per-lane bitmask integer, per-unit sequential state split
@@ -33,8 +33,7 @@ therefore the *control* behaviour is shared, only the data differs.
   sound because the combinational pass never mutates unit state and the
   engine re-arms every activation flag first, so the mask loop's first
   pass recomputes the fixpoint from scratch — exactly like engine
-  initialization.  (The event backend has no generated loop; it simply
-  runs every lane sequentially on scalar event engines.)
+  initialization.
 
 Per-lane termination uses a done-mask: the engine tracks which lanes
 have satisfied their ``done`` predicate.  In lockstep the mask can only
@@ -49,17 +48,14 @@ module (``make_loop``) when the engine is built, the mask-loop module
 that never diverge never pay for generating or compiling it.  Each
 module carries its own variant marker, so their cache keys are disjoint.
 
-Two batched engines back the three scalar backend names:
-
-``BatchedCodegenEngine`` (``"compiled"`` and ``"codegen"``)
-    Runs the laned generated modules, loaded through
-    :func:`~repro.sim.codegen.load_module` — the same in-process memo and
-    content-addressed disk cache as scalar codegen modules (scalar,
-    laned-lockstep and mask-loop sources always differ, so their keys
-    can never collide).
-``BatchedEventEngine`` (``"event"``)
-    The reference: always executes lanes sequentially on the scalar
-    event engine.  Slow and trivially correct — the differential anchor.
+:class:`BatchedCodegenEngine` is the one batched engine.
+:func:`~repro.sim.create_engine` builds it for ``lanes=`` with either
+generated-loop backend name (``"compiled"`` or ``"codegen"``) and
+refuses ``"event"``: the event engine simulates one input set at a
+time.  Both modules load through :func:`~repro.sim.codegen.load_module`,
+the same in-process memo and content-addressed disk cache as scalar
+codegen modules (scalar, laned-lockstep and mask-loop sources always
+differ, so their keys can never collide).
 
 Observers are refused up front: a ``Trace``/``SimProfile``/sanitizer
 observes one circuit execution, and a batched pass is ``B`` of them
@@ -70,12 +66,12 @@ simulations.
 from __future__ import annotations
 
 import logging
-import os
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..circuit import DataflowCircuit, Sink
+from ..circuit import DataflowCircuit
 from ..errors import DeadlockError, LaneDivergence, SimulationError
 from .codegen import (
+    CodegenEngine,
     generate_mask_source,
     generate_source,
     load_module,
@@ -83,55 +79,29 @@ from .codegen import (
 )
 from .codegen_blocks import mask_state
 from .deadlock import diagnose
-from .engine import DEFAULT_DEADLOCK_WINDOW, Engine
+from .engine import DEFAULT_DEADLOCK_WINDOW
 from .memory import Memory
 from .sanitize import sanitize_default
 from .signal_graph import compile_schedule
 
 _log = logging.getLogger(__name__)
 
-#: Environment variable giving ``run``/``sweep`` their ``--lanes``
-#: default, matching the ``REPRO_SIM_BACKEND`` convention.
-LANES_ENV = "REPRO_SIM_LANES"
 
+class BatchedCodegenEngine:
+    """Lane-parallel generated loop, disk-cached like scalar codegen."""
 
-def lanes_default() -> Optional[int]:
-    """``--lanes`` default from ``$REPRO_SIM_LANES`` (None unless set).
+    backend = "codegen"
 
-    ``1`` (and unset/empty) means scalar execution — no batching; a
-    malformed value fails loudly rather than silently running scalar.
-    """
-    raw = os.environ.get(LANES_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise SimulationError(
-            f"{LANES_ENV} wants a positive integer, got {raw!r}"
-        ) from None
-    if lanes < 1:
-        raise SimulationError(
-            f"{LANES_ENV} wants a positive integer, got {lanes}"
-        )
-    return lanes if lanes > 1 else None
-
-
-class BatchedEngineBase:
-    """Validation and per-lane bookkeeping shared by both engines."""
-
-    backend = "?"
-
-    def _init_batched(
+    def __init__(
         self,
         circuit: DataflowCircuit,
         lanes: int,
-        memories: Optional[Sequence[Memory]],
-        trace,
-        profile,
-        sanitize: Optional[bool],
-        deadlock_window: int,
-    ) -> None:
+        memories: Optional[Sequence[Memory]] = None,
+        trace=None,
+        profile=None,
+        sanitize: Optional[bool] = None,
+        deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
+    ):
         if not isinstance(lanes, int) or lanes < 1:
             raise SimulationError(
                 f"lanes must be a positive integer (got {lanes!r})"
@@ -182,19 +152,11 @@ class BatchedEngineBase:
                 "memories given but no unit of this circuit uses a memory"
             )
         self.memories: List[Memory] = mems
-        self._sink_names = [
-            n for n, u in circuit.units.items() if isinstance(u, Sink)
-        ]
 
         #: Bit l set once lane l's ``done`` predicate held.
         self.done_mask = 0
         self.lane_cycles: List[int] = [0] * lanes
         self._lane_fires: List[int] = [0] * lanes
-        #: Lanes re-executed on a scalar engine after a divergence.
-        #: Always 0: the generated loop absorbs divergence in mask mode,
-        #: and the event engine's per-lane runs are its design, not a
-        #: fallback.
-        self.fallback_lanes = 0
         #: Lockstep→mask promotions performed (0 = stayed lockstep).
         self.mask_promotions = 0
         #: Cycle of the first promotion, or None.
@@ -203,53 +165,7 @@ class BatchedEngineBase:
         self.divergence: Optional[LaneDivergence] = None
         self._divergence: Optional[LaneDivergence] = None
         self._masked = False
-        self._fb_lane: Optional[int] = None
-        self._fb_done: Dict[int, Dict[str, list]] = {}
 
-    # ------------------------------------------------------- per-lane views
-    @property
-    def lane_fires(self) -> List[int]:
-        return list(self._lane_fires)
-
-    def sink_count(self, name: str, lane: int) -> int:
-        """Number of tokens lane ``lane`` delivered to sink ``name``."""
-        if self._fb_lane is not None or self._fb_done:
-            if lane == self._fb_lane:
-                return len(self.circuit.units[name].received)
-            got = self._fb_done.get(lane)
-            return len(got[name]) if got is not None else 0
-        # Lockstep: every append carries one value per lane.
-        return len(self.circuit.units[name].received)
-
-    def sink_received(self, name: str, lane: int) -> list:
-        """Values lane ``lane`` delivered to sink ``name``, in order."""
-        if self._fb_lane is not None or self._fb_done:
-            if lane == self._fb_lane:
-                return list(self.circuit.units[name].received)
-            got = self._fb_done.get(lane)
-            return list(got[name]) if got is not None else []
-        return [t[lane] for t in self.circuit.units[name].received]
-
-
-class BatchedCodegenEngine(BatchedEngineBase):
-    """Lane-parallel generated loop, disk-cached like scalar codegen."""
-
-    backend = "codegen"
-
-    def __init__(
-        self,
-        circuit: DataflowCircuit,
-        lanes: int,
-        memories: Optional[Sequence[Memory]] = None,
-        trace=None,
-        profile=None,
-        sanitize: Optional[bool] = None,
-        deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-    ):
-        self._init_batched(
-            circuit, lanes, memories, trace, profile, sanitize,
-            deadlock_window,
-        )
         schedule = compile_schedule(circuit)
         self.schedule = schedule
         units = [circuit.units[n] for n in schedule.names]
@@ -304,16 +220,23 @@ class BatchedCodegenEngine(BatchedEngineBase):
         ns, origin = load_module(source, key=key)
         return ns, key, origin
 
-    # -------------------------------------------------- mask-mode lane views
+    # ------------------------------------------------------- per-lane views
+    @property
+    def lane_fires(self) -> List[int]:
+        return list(self._lane_fires)
+
     def sink_count(self, name: str, lane: int) -> int:
+        """Number of tokens lane ``lane`` delivered to sink ``name``."""
         if self._masked:
             return len(self._mstate[self._slot_of[name]]["recv"][lane])
-        return super().sink_count(name, lane)
+        # Lockstep: every append carries one value per lane.
+        return len(self.circuit.units[name].received)
 
     def sink_received(self, name: str, lane: int) -> list:
+        """Values lane ``lane`` delivered to sink ``name``, in order."""
         if self._masked:
             return list(self._mstate[self._slot_of[name]]["recv"][lane])
-        return super().sink_received(name, lane)
+        return [t[lane] for t in self.circuit.units[name].received]
 
     # ------------------------------------------------------------- promotion
     def _promote(self) -> None:
@@ -402,20 +325,8 @@ class BatchedCodegenEngine(BatchedEngineBase):
                 return list(self.lane_cycles)
             self._raise_mask_status(status, max_cycles)
 
-    def _raise_status(self, status: int, max_cycles: int) -> None:
-        if status == 2:
-            blocked = diagnose(self.circuit, self.valid, self.ready)
-            raise DeadlockError(
-                f"deadlock at cycle {self.cycle}: no activity for "
-                f"{self._idle_cycles} cycles\n  " + "\n  ".join(blocked),
-                cycle=self.cycle,
-                blocked=blocked,
-            )
-        if status == 3:
-            raise SimulationError(
-                f"simulation exceeded {max_cycles} cycles without "
-                f"completing ({self.total_fires} transfers so far)"
-            )
+    # Lockstep exit statuses mean what they mean for the scalar loop.
+    _raise_status = CodegenEngine._raise_status
 
     def run_lanes(
         self,
@@ -436,8 +347,8 @@ class BatchedCodegenEngine(BatchedEngineBase):
 
         Divergence (loop exit status 4, or the partial done-mask raise)
         *promotes* the batch to mask-lane execution: the run continues
-        in place with per-lane control bitmasks, no lane ever re-runs on
-        a scalar engine, and ``fallback_lanes`` stays 0.
+        in place with per-lane control bitmasks, and no lane ever re-runs
+        on a scalar engine.
 
         In mask mode ``done_lane`` is re-checked only for lanes with a
         fire into a ``Sink`` or ``StorePort`` since their previous
@@ -499,90 +410,3 @@ class BatchedCodegenEngine(BatchedEngineBase):
         self.lane_cycles = [self.cycle] * self.lanes
         self._lane_fires = [self.total_fires] * self.lanes
         return list(self.lane_cycles)
-
-
-class BatchedEventEngine(BatchedEngineBase):
-    """Reference batched backend: lanes run sequentially on the event
-    engine.  No lane-parallelism — the differential anchor the
-    generated-loop engine is tested against."""
-
-    backend = "event"
-
-    def __init__(
-        self,
-        circuit: DataflowCircuit,
-        lanes: int,
-        memories: Optional[Sequence[Memory]] = None,
-        trace=None,
-        profile=None,
-        sanitize: Optional[bool] = None,
-        deadlock_window: int = DEFAULT_DEADLOCK_WINDOW,
-    ):
-        self._init_batched(
-            circuit, lanes, memories, trace, profile, sanitize,
-            deadlock_window,
-        )
-        self._mem0 = [m.snapshot() for m in self.memories]
-
-    def run_lanes(
-        self,
-        done_lane: Callable[[int], bool],
-        max_cycles: int = 1_000_000,
-        uniform_done: bool = False,
-        start_masked: bool = False,
-    ) -> List[int]:
-        """Run every lane on a scalar event engine; bit-exact by
-        construction.  ``start_masked`` is accepted for API parity and
-        ignored: the event backend has no generated loop to promote.
-        Each call starts from the lanes' initial memory contents."""
-        for mem, snap in zip(self.memories, self._mem0):
-            mem.restore(snap)
-        self._fb_done = {}
-        for lane in range(self.lanes):
-            self._fb_lane = lane
-            try:
-                eng = Engine(
-                    self.circuit,
-                    memory=self.memories[lane] if self.memories else None,
-                    sanitize=False, deadlock_window=self.deadlock_window,
-                )
-                cycles = eng.run(
-                    (lambda l=lane: done_lane(l)), max_cycles=max_cycles
-                )
-            finally:
-                # Snapshot even on error: completed lanes stay readable.
-                self._fb_done[lane] = {
-                    n: list(self.circuit.units[n].received)
-                    for n in self._sink_names
-                }
-                self._fb_lane = None
-            self._lane_fires[lane] = eng.total_fires
-            self.lane_cycles[lane] = cycles
-            self.done_mask |= 1 << lane
-        return list(self.lane_cycles)
-
-
-#: Batched engine classes by (scalar) backend name.
-BATCHED_BACKENDS = {
-    "event": BatchedEventEngine,
-    "compiled": BatchedCodegenEngine,
-    "codegen": BatchedCodegenEngine,
-}
-
-
-def create_batched_engine(
-    circuit: DataflowCircuit,
-    backend: str,
-    lanes: int,
-    memories: Optional[Sequence[Memory]] = None,
-    **kwargs,
-):
-    """Instantiate the batched engine for scalar backend name ``backend``."""
-    try:
-        cls = BATCHED_BACKENDS[backend]
-    except KeyError:
-        raise SimulationError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {sorted(BATCHED_BACKENDS)}"
-        ) from None
-    return cls(circuit, lanes, memories=memories, **kwargs)

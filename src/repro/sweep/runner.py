@@ -15,6 +15,9 @@ count or completion order:
   failing job is retried ``retries`` times before its failure is
   recorded.
 
+Both paths run the same *work items*: a single job, or (with ``lanes``)
+a chunk of seed-sibling jobs that one batched simulation answers.
+
 Child processes prefer the ``fork`` start method (cheap on Linux, and
 lets tests inject worker functions that need not survive pickling);
 ``spawn`` is the fallback where ``fork`` is unavailable.
@@ -28,9 +31,10 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..pipeline import TechniqueResult, run_technique, run_technique_batch
+from ..sim import DEFAULT_BACKEND
 from .cache import ResultCache
 from .job import SweepJob
 
@@ -63,7 +67,7 @@ def execute_batch(jobs: List[SweepJob]) -> List[TechniqueResult]:
     One lane-parallel simulation replaces ``len(jobs)`` scalar pipeline
     runs; the returned rows are bit-identical to what
     :func:`execute_job` would produce per job (same preparation, same
-    per-seed cycle counts — guaranteed by the batched engines).
+    per-seed cycle counts — guaranteed by the batched engine).
     """
     first = jobs[0]
     return run_technique_batch(
@@ -194,19 +198,17 @@ def run_sweep(
     are in submission order independent of completion order.
 
     ``lanes=B`` (with ``B >= 2``) groups cache-missed jobs that differ
-    only in ``seed`` into lane-parallel batches of up to ``B``: one
+    only in ``seed`` into lane-parallel chunks of up to ``B``: one
     batched simulation (:func:`execute_batch`) replaces up to ``B``
     scalar pipeline runs, while every job still gets its own record and
     its own per-seed cache row — warm reruns hit the cache identically
-    either way.  A failing batch is transparently retried job by job on
-    the scalar path (full ``retries`` budget), so failure isolation is
-    no coarser than without lanes.  Batching applies only with the
-    default ``worker_fn`` — a custom worker has unknown semantics and
-    runs per job.  Per-job ``wall_time_s`` of a batch is the chunk's
-    wall clock divided evenly over its lanes when the chunk ran
-    lane-parallel, and proportionally to per-lane cycle counts when it
-    fell back to sequential scalar execution (see
-    :func:`_record_batch_ok`).
+    either way.  A failing chunk is rerun job by job with the full
+    ``retries`` budget, so failure isolation is no coarser than without
+    lanes; a chunk's timeout is the per-job one (a batch is one
+    simulation pass).  Batching applies only with the default
+    ``worker_fn`` — a custom worker has unknown semantics and runs per
+    job.  Each job of a chunk is recorded with the chunk's wall clock
+    divided evenly over its members.
     """
     t_start = time.perf_counter()
     records: Dict[int, SweepRecord] = {}
@@ -225,23 +227,15 @@ def run_sweep(
         else:
             misses.append((index, job))
 
-    if misses and lanes and lanes > 1 and worker_fn is execute_job:
-        chunks, misses = _plan_batches(misses, lanes)
-        if chunks:
-            if workers <= 0:
-                leftover = _run_batches_serial(
-                    chunks, records, cache, on_record
-                )
-            else:
-                leftover = _run_batches_pool(
-                    chunks, workers, timeout, records, cache, on_record
-                )
-            misses = sorted(misses + leftover)
+    if lanes and lanes > 1 and worker_fn is execute_job:
+        work = _plan_batches(misses, lanes)
+    else:
+        work = [[miss] for miss in misses]
 
-    if misses and workers <= 0:
-        _run_serial(misses, worker_fn, retries, records, cache, on_record)
-    elif misses:
-        _run_pool(misses, workers, worker_fn, timeout, retries, records,
+    if work and workers <= 0:
+        _run_serial(work, worker_fn, retries, records, cache, on_record)
+    elif work:
+        _run_pool(work, workers, worker_fn, timeout, retries, records,
                   cache, on_record)
 
     return SweepOutcome(
@@ -252,178 +246,40 @@ def run_sweep(
 
 
 # --------------------------------------------------------------------------
-# lane-parallel batches
+# work items: single jobs and seed-sibling chunks
 
 
-def _plan_batches(misses: List, lanes: int):
-    """Split cache-misses into batchable chunks and scalar leftovers.
+def _plan_batches(misses: List, lanes: int) -> List[List]:
+    """Group cache misses into work items, ordered by their first job.
 
-    Only simulating jobs batch (a ``simulate=False`` job has no per-seed
-    work to share), chunks never exceed ``lanes``, and a chunk of one is
-    pointless — it stays on the scalar path.
+    A work item is a list of ``(index, job)`` pairs: one job, or a chunk
+    of up to ``lanes`` jobs sharing a :meth:`SweepJob.batch_key`.  Only
+    simulating jobs batch (a ``simulate=False`` job has no per-seed work
+    to share), and event-backend jobs stay single: the event engine
+    simulates one input set at a time.
     """
     groups: Dict[tuple, List] = {}
-    scalar: List = []
+    work: List[List] = []
     for index, job in misses:
-        if job.simulate:
+        backend = job.sim_backend or DEFAULT_BACKEND
+        if job.simulate and backend != "event":
             groups.setdefault(job.batch_key(), []).append((index, job))
         else:
-            scalar.append((index, job))
-    chunks: List[List] = []
+            work.append([(index, job)])
     for members in groups.values():
-        for i in range(0, len(members), lanes):
-            chunk = members[i:i + lanes]
-            if len(chunk) > 1:
-                chunks.append(chunk)
-            else:
-                scalar.extend(chunk)
-    scalar.sort()
-    return chunks, scalar
-
-
-def _record_batch_ok(chunk: List, results: List[TechniqueResult],
-                     wall: float, records, cache, on_record) -> None:
-    """Record one OK row per batched job, splitting the chunk's wall clock.
-
-    A lane-parallel chunk is one simulation pass, so its wall clock is
-    shared evenly — every job cost ``wall / lanes``.  A chunk that fell
-    back to per-lane scalar execution (``fallback_lanes > 0`` — only the
-    event backend still does this) ran its lanes *sequentially*: an even
-    split would credit a long lane with a short lane's time and overstate
-    the batch's throughput, so the wall clock is split proportionally to
-    each lane's simulated cycles instead.
-    """
-    n = len(chunk)
-    if any(r.fallback_lanes for r in results):
-        total = sum(r.cycles for r in results)
-        walls = [
-            wall * r.cycles / total if total else wall / n for r in results
-        ]
-    else:
-        walls = [wall / n] * n
-    for (index, job), result, per in zip(chunk, results, walls):
-        _record_done(
-            SweepRecord(
-                job=job, status=STATUS_OK, result=result,
-                wall_time_s=per, attempts=1,
-            ),
-            index, records, cache, on_record,
+        work.extend(
+            members[i:i + lanes] for i in range(0, len(members), lanes)
         )
+    work.sort(key=lambda item: item[0][0])
+    return work
 
 
-def _run_batches_serial(chunks: List, records, cache, on_record) -> List:
-    """In-process batch execution; returns jobs needing the scalar path."""
-    leftover: List = []
-    for chunk in chunks:
-        t0 = time.perf_counter()
-        try:
-            results = execute_batch([job for _, job in chunk])
-        except Exception:
-            # Any lane failing fails the whole batch; isolate by retrying
-            # every lane individually on the scalar path.
-            leftover.extend(chunk)
-            continue
-        _record_batch_ok(
-            chunk, results, time.perf_counter() - t0,
-            records, cache, on_record,
-        )
-    return leftover
-
-
-def _batch_child_entry(conn, jobs: List[SweepJob]) -> None:
-    try:
-        results = execute_batch(jobs)
-        conn.send(("ok", [r.to_dict() for r in results]))
-    except BaseException as exc:  # preserved, not propagated: isolation
-        conn.send((
-            "error",
-            type(exc).__name__,
-            str(exc),
-            traceback.format_exc(limit=10),
-        ))
-    finally:
-        conn.close()
-
-
-def _run_batches_pool(chunks: List, workers: int,
-                      timeout: Optional[float], records, cache,
-                      on_record) -> List:
-    """Batch chunks over child processes; returns scalar-path leftovers.
-
-    A chunk that errors, times out, or crashes is *not* retried as a
-    batch — its jobs fall back to the scalar pool, which owns the retry
-    budget.  The per-chunk timeout equals the per-job timeout: a batch
-    is one simulation pass, not ``lanes`` sequential ones.
-    """
-    ctx = _mp_context()
-    pending = deque(chunks)
-    running: List[list] = []  # [chunk, proc, conn, started, deadline]
-    leftover: List = []
-
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                chunk = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_batch_child_entry,
-                    args=(child_conn, [job for _, job in chunk]),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                now = time.perf_counter()
-                running.append([
-                    chunk, proc, parent_conn, now,
-                    (now + timeout) if timeout is not None else None,
-                ])
-
-            poll = 0.5
-            now = time.perf_counter()
-            for st in running:
-                if st[4] is not None:
-                    poll = min(poll, max(st[4] - now, 0.0))
-            multiprocessing.connection.wait(
-                [st[1].sentinel for st in running], timeout=poll,
-            )
-
-            now = time.perf_counter()
-            still: List[list] = []
-            for st in running:
-                chunk, proc, conn, started, deadline = st
-                message = None
-                if conn.poll():
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    proc.join()
-                elif deadline is not None and now >= deadline:
-                    _kill(proc)
-                elif proc.is_alive():
-                    still.append(st)
-                    continue
-                else:
-                    proc.join()
-                conn.close()
-                if message is not None and message[0] == "ok":
-                    _record_batch_ok(
-                        chunk,
-                        [TechniqueResult.from_dict(d) for d in message[1]],
-                        now - started, records, cache, on_record,
-                    )
-                else:
-                    leftover.extend(chunk)
-            running = still
-    finally:
-        for st in running:
-            _kill(st[1])
-            st[2].close()
-    return leftover
-
-
-# --------------------------------------------------------------------------
-# serial path
+def _execute(worker_fn: Callable[[SweepJob], TechniqueResult],
+             jobs: List[SweepJob]) -> List[TechniqueResult]:
+    """One work item's rows: a chunk is one batch, a job one worker call."""
+    if len(jobs) > 1:
+        return execute_batch(jobs)
+    return [worker_fn(jobs[0])]
 
 
 def _record_done(
@@ -440,36 +296,80 @@ def _record_done(
         on_record(record)
 
 
+def _settle(
+    item: List,
+    attempt: int,
+    spent: float,
+    results: Optional[List[TechniqueResult]],
+    error: Optional[Tuple[str, str]],
+    retries: int,
+    records: Dict[int, SweepRecord],
+    cache: Optional[ResultCache],
+    on_record: Optional[Callable[[SweepRecord], None]],
+) -> List[tuple]:
+    """Record a finished work item; return the queue entries it leaves.
+
+    On success every member is recorded back to back with an even share
+    of ``spent``.  A failed chunk comes back as single jobs with the full
+    retry budget (one failing lane fails the whole batch); a failed job
+    is retried until ``retries`` is spent, then recorded as failed.
+    Queue entries are ``(item, attempt, wall time spent so far)``.
+    """
+    if results is not None:
+        share = spent / len(item)
+        for (index, job), result in zip(item, results):
+            _record_done(
+                SweepRecord(
+                    job=job, status=STATUS_OK, result=result,
+                    wall_time_s=share, attempts=attempt,
+                ),
+                index, records, cache, on_record,
+            )
+        return []
+    if len(item) > 1:
+        return [([member], 1, 0.0) for member in item]
+    if attempt <= retries:
+        return [(item, attempt + 1, spent)]
+    [(index, job)] = item
+    error_type, message = error
+    _record_done(
+        SweepRecord(
+            job=job, status=STATUS_FAILED,
+            error_type=error_type, error=message,
+            wall_time_s=spent, attempts=attempt,
+        ),
+        index, records, cache, on_record,
+    )
+    return []
+
+
+# --------------------------------------------------------------------------
+# serial path
+
+
 def _run_serial(
-    misses: List,
+    work: List[List],
     worker_fn: Callable[[SweepJob], TechniqueResult],
     retries: int,
     records: Dict[int, SweepRecord],
     cache: Optional[ResultCache],
     on_record: Optional[Callable[[SweepRecord], None]],
 ) -> None:
-    for index, job in misses:
-        spent = 0.0
-        record = None
-        for attempt in range(1, retries + 2):
-            t0 = time.perf_counter()
-            try:
-                result = worker_fn(job)
-            except Exception as exc:
-                spent += time.perf_counter() - t0
-                record = SweepRecord(
-                    job=job, status=STATUS_FAILED,
-                    error_type=type(exc).__name__, error=str(exc),
-                    wall_time_s=spent, attempts=attempt,
-                )
-                continue
-            spent += time.perf_counter() - t0
-            record = SweepRecord(
-                job=job, status=STATUS_OK, result=result,
-                wall_time_s=spent, attempts=attempt,
-            )
-            break
-        _record_done(record, index, records, cache, on_record)
+    pending = deque((item, 1, 0.0) for item in work)
+    while pending:
+        item, attempt, spent = pending.popleft()
+        results = error = None
+        t0 = time.perf_counter()
+        try:
+            results = _execute(worker_fn, [job for _, job in item])
+        except Exception as exc:
+            error = (type(exc).__name__, str(exc))
+        spent += time.perf_counter() - t0
+        # Retries and a failed chunk's jobs run next, in order.
+        pending.extendleft(reversed(_settle(
+            item, attempt, spent, results, error, retries,
+            records, cache, on_record,
+        )))
 
 
 # --------------------------------------------------------------------------
@@ -477,10 +377,10 @@ def _run_serial(
 
 
 def _child_entry(conn, worker_fn: Callable[[SweepJob], TechniqueResult],
-                 job: SweepJob) -> None:
+                 jobs: List[SweepJob]) -> None:
     try:
-        result = worker_fn(job)
-        conn.send(("ok", result.to_dict()))
+        results = _execute(worker_fn, jobs)
+        conn.send(("ok", [r.to_dict() for r in results]))
     except BaseException as exc:  # preserved, not propagated: isolation
         conn.send((
             "error",
@@ -501,8 +401,7 @@ def _mp_context():
 
 @dataclass
 class _Running:
-    index: int
-    job: SweepJob
+    item: List
     process: Any
     conn: Any
     started: float
@@ -520,11 +419,13 @@ def _kill(proc) -> None:
             proc.join()
 
 
-def _reap(state: _Running, now: float,
-          timeout: Optional[float]) -> Optional[SweepRecord]:
-    """Inspect one running child; return its record once it is done."""
+def _reap(state: _Running, now: float, timeout: Optional[float]):
+    """Inspect one running child; None while it runs.
+
+    A finished child gives ``(results, None)`` on success and
+    ``(None, (error_type, error))`` on failure.
+    """
     proc, conn = state.process, state.conn
-    elapsed = state.spent + (now - state.started)
 
     if conn.poll():
         try:
@@ -532,48 +433,28 @@ def _reap(state: _Running, now: float,
         except (EOFError, OSError):
             message = None
         proc.join()
-        if message is not None and message[0] == "ok":
-            return SweepRecord(
-                job=state.job, status=STATUS_OK,
-                result=TechniqueResult.from_dict(message[1]),
-                wall_time_s=elapsed, attempts=state.attempt,
-            )
-        if message is not None:
-            _, etype, emsg, _tb = message
-            return SweepRecord(
-                job=state.job, status=STATUS_FAILED,
-                error_type=etype, error=emsg,
-                wall_time_s=elapsed, attempts=state.attempt,
-            )
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type="WorkerCrashed",
-            error="worker exited without reporting a result",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        if message is None:
+            return None, ("WorkerCrashed",
+                          "worker exited without reporting a result")
+        if message[0] == "ok":
+            return [TechniqueResult.from_dict(d) for d in message[1]], None
+        _, etype, emsg, _tb = message
+        return None, (etype, emsg)
 
     if state.deadline is not None and now >= state.deadline:
         _kill(proc)
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type=SweepTimeoutError.__name__,
-            error=f"job exceeded the per-job timeout ({timeout}s)",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        return None, (SweepTimeoutError.__name__,
+                      f"job exceeded the per-job timeout ({timeout}s)")
 
     if not proc.is_alive():
         proc.join()
-        return SweepRecord(
-            job=state.job, status=STATUS_FAILED,
-            error_type="WorkerCrashed",
-            error=f"worker process died with exit code {proc.exitcode}",
-            wall_time_s=elapsed, attempts=state.attempt,
-        )
+        return None, ("WorkerCrashed",
+                      f"worker process died with exit code {proc.exitcode}")
     return None
 
 
 def _run_pool(
-    misses: List,
+    work: List[List],
     workers: int,
     worker_fn: Callable[[SweepJob], TechniqueResult],
     timeout: Optional[float],
@@ -583,23 +464,21 @@ def _run_pool(
     on_record: Optional[Callable[[SweepRecord], None]],
 ) -> None:
     ctx = _mp_context()
-    # Queue entries: (index, job, attempt, wall time spent by earlier tries).
-    pending = deque((index, job, 1, 0.0) for index, job in misses)
+    pending = deque((item, 1, 0.0) for item in work)
     running: List[_Running] = []
 
-    def spawn(index: int, job: SweepJob, attempt: int,
-              spent: float) -> _Running:
+    def spawn(item: List, attempt: int, spent: float) -> _Running:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_child_entry, args=(child_conn, worker_fn, job),
+            target=_child_entry,
+            args=(child_conn, worker_fn, [job for _, job in item]),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         now = time.perf_counter()
         return _Running(
-            index=index, job=job, process=proc, conn=parent_conn,
-            started=now,
+            item=item, process=proc, conn=parent_conn, started=now,
             deadline=(now + timeout) if timeout is not None else None,
             attempt=attempt, spent=spent,
         )
@@ -622,20 +501,17 @@ def _run_pool(
             now = time.perf_counter()
             still_running: List[_Running] = []
             for st in running:
-                record = _reap(st, now, timeout)
-                if record is None:
+                finished = _reap(st, now, timeout)
+                if finished is None:
                     still_running.append(st)
                     continue
                 st.conn.close()
-                if not record.ok and record.attempts <= retries:
-                    # Retry: requeue at the front with the attempt count
-                    # and the wall time it has already burned.
-                    pending.appendleft((
-                        st.index, st.job, record.attempts + 1,
-                        record.wall_time_s,
-                    ))
-                else:
-                    _record_done(record, st.index, records, cache, on_record)
+                results, error = finished
+                # Retries and a failed chunk's jobs go to the front.
+                pending.extendleft(reversed(_settle(
+                    st.item, st.attempt, st.spent + (now - st.started),
+                    results, error, retries, records, cache, on_record,
+                )))
             running = still_running
     finally:
         for st in running:

@@ -3,17 +3,14 @@
 The batched engines (`repro.sim.batched`) promise bit-identical results
 to B scalar runs — per-lane cycle counts, fire counts, memory contents
 and sink values — whether the batch runs lockstep (shared control, lane
-tuples for data), promotes to mask-lane (MIMD) execution after a
-:class:`LaneDivergence` (generated-loop engine), or re-executes each
-lane on a scalar engine (event backend).  The scalar engines are the
-oracle.
+tuples for data) or promotes to mask-lane (MIMD) execution after a
+:class:`LaneDivergence`.  The scalar engines are the oracle.
 
 Also covered: the observer refusal contract (batched mode rejects
-Trace/SimProfile/sanitizer with clean errors, the profile CLI exits 2
-on ``--lanes``), per-seed sweep cache rows
-(batched-vs-scalar and warm-vs-cold equivalence), and the codegen disk
-cache's laned/scalar key separation (a laned module must never poison a
-scalar run, or vice versa).
+Trace/SimProfile/sanitizer with clean errors, the profile CLI has no
+``--lanes``) and the codegen disk cache's laned/scalar key separation (a
+laned module must never poison a scalar run, or vice versa).  Sweep-level
+lane batching is tested in ``tests/sweep/test_lanes.py``.
 """
 
 import numpy as np
@@ -40,7 +37,6 @@ from repro.frontend.kernels import KERNEL_NAMES, build
 from repro.frontend.runner import default_inputs
 from repro.pipeline import TECHNIQUES, run_technique, run_technique_batch
 from repro.sim import (
-    BACKENDS,
     Memory,
     SimProfile,
     Trace,
@@ -51,6 +47,8 @@ from repro.sim.codegen import CodegenEngine, generate_source, source_key
 from repro.sim.signal_graph import compile_schedule
 
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
+#: Backend names that build the batched engine.
+LANED_BACKENDS = ("compiled", "codegen")
 SHARE = {"naive": naive_share, "inorder": inorder_share, "crush": crush}
 
 #: Distinct input sets; lane l of a B-lane batch simulates SEEDS[l].
@@ -108,7 +106,8 @@ def _run_batched(lowered, seeds, backend):
 
 
 # ---------------------------------------------------------------------------
-# all 33 goldens x every backend x B in {1, 2, 7}: bit-identical to scalar
+# every golden x both laned backend names x B in {1, 2, 7}: bit-identical
+# to scalar
 
 
 @pytest.mark.parametrize("kernel,technique", PAIRS,
@@ -121,7 +120,7 @@ def test_batched_bit_identical_on_goldens(kernel, technique):
     }
     for lanes in LANE_COUNTS:
         seeds = SEEDS[:lanes]
-        for backend in BACKENDS:
+        for backend in LANED_BACKENDS:
             engine, memories, cycles = _run_batched(lowered, seeds, backend)
             for lane, seed in enumerate(seeds):
                 want = scalar[seed]
@@ -169,7 +168,6 @@ def test_run_technique_batch_rows_match_scalar():
 def test_lockstep_kernel_runs_without_divergence():
     lowered = _prepare("atax", "crush")
     engine, _, _ = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.fallback_lanes == 0
     assert engine.mask_promotions == 0
     assert engine.divergence is None
     assert engine.done_mask == 0b111
@@ -181,7 +179,6 @@ def test_divergent_kernel_promotes_to_mask_lanes():
     # still deliver bit-exact per-lane results.
     lowered = _prepare("gsumif", "crush")
     engine, memories, cycles = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.fallback_lanes == 0
     assert engine.mask_promotions == 1
     assert engine.divergence is not None
     assert engine.divergence.channel
@@ -225,8 +222,7 @@ def test_partial_done_mask_freezes_lanes_via_mask_promotion():
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         uniform_done=False,
     )
-    assert engine.fallback_lanes == 0  # partial mask -> promotion, not scalar
-    assert engine.mask_promotions == 1
+    assert engine.mask_promotions == 1  # partial mask -> promotion
     assert engine.divergence is not None
     assert engine.divergence.channel == "done"
     for lane, target in enumerate(targets):
@@ -285,7 +281,6 @@ def _assert_lanes_match_scalar(make_circuit, n_tokens, lanes, backend):
         lambda lane: engine.sink_count("out", lane) >= n_tokens,
         max_cycles=3_000, uniform_done=True,
     )
-    assert engine.fallback_lanes == 0
     for lane in range(lanes):
         assert cycles[lane] == ref_cycles, lane
         assert engine.lane_fires[lane] == ref.total_fires, lane
@@ -337,7 +332,7 @@ def test_random_fork_join_batched_lanes_match_scalar(
 # observer refusal contract
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", LANED_BACKENDS)
 def test_batched_refuses_observers(backend):
     c = _chain_circuit([1.0, 2.0])
     with pytest.raises(SimulationError, match="Trace"):
@@ -379,12 +374,13 @@ def test_create_engine_lane_argument_validation():
 
 
 def test_profile_cli_rejects_lanes_with_exit_2(capsys):
+    # Profiling is scalar-only, so ``profile`` has no --lanes option.
     from repro.cli import main
 
-    rc = main(["profile", "atax", "--lanes", "4"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "scalar-only" in err and "--lanes" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "atax", "--lanes", "4"])
+    assert exc.value.code == 2
+    assert "--lanes" in capsys.readouterr().err
 
 
 def test_run_cli_rejects_observers_with_multi_seed_batch(capsys):
@@ -393,59 +389,6 @@ def test_run_cli_rejects_observers_with_multi_seed_batch(capsys):
     rc = main(["run", "atax", "crush", "--seeds", "7,11", "--sanitize"])
     assert rc == 2
     assert "scalar-only" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# sweep cache rows: batched == scalar, warm == cold, per input set
-
-
-def test_batched_sweep_writes_scalar_equivalent_cache_rows(tmp_path):
-    from repro.sweep import ResultCache, build_matrix, run_sweep
-
-    jobs = build_matrix(
-        kernels=["atax"], techniques=["crush"], scale="small",
-        sim_backend="codegen", seeds=(7, 11, 13),
-    )
-    cache_scalar = ResultCache(tmp_path / "scalar")
-    cache_batched = ResultCache(tmp_path / "batched")
-
-    out_scalar = run_sweep(jobs, cache=cache_scalar).raise_on_failure()
-    out_batched = run_sweep(
-        jobs, cache=cache_batched, lanes=3
-    ).raise_on_failure()
-
-    for rec_s, rec_b in zip(out_scalar.records, out_batched.records):
-        assert rec_s.job == rec_b.job
-        assert (rec_s.result.deterministic_metrics()
-                == rec_b.result.deterministic_metrics())
-
-    # Content-addressed row files: same keys, one per input set.
-    keys_scalar = sorted(p.name for p in (tmp_path / "scalar").glob("*/*.json"))
-    keys_batched = sorted(p.name for p in (tmp_path / "batched").glob("*/*.json"))
-    assert keys_scalar == keys_batched
-    assert len(keys_scalar) == len(jobs)
-
-    # Warm-vs-cold, both directions: a batched sweep fully hits a cache a
-    # scalar sweep wrote, and vice versa.
-    warm_b = run_sweep(jobs, cache=cache_scalar, lanes=3)
-    assert warm_b.cache_hits == len(jobs)
-    warm_s = run_sweep(jobs, cache=cache_batched)
-    assert warm_s.cache_hits == len(jobs)
-
-
-def test_batched_sweep_isolates_failing_batches(tmp_path):
-    # A job doomed to fail (max_cycles far too small) must fail as its
-    # own record without dragging down its batch siblings.
-    from repro.sweep import ResultCache, SweepJob, run_sweep
-
-    good = [SweepJob("atax", "crush", scale="small", sim_backend="codegen",
-                     seed=s) for s in (7, 11)]
-    bad = SweepJob("atax", "crush", scale="small", sim_backend="codegen",
-                   seed=13, max_cycles=3)
-    out = run_sweep(good + [bad], cache=ResultCache(tmp_path), lanes=4,
-                    retries=0)
-    assert [r.ok for r in out.records] == [True, True, False]
-    assert out.records[2].error_type == "SimulationError"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ gets its own done/cycle-freeze bit.  These tests pin the promotion
 contract:
 
 * divergent batches (``gsumif``, and a synthetic load→branch circuit)
-  stay lane-parallel — ``fallback_lanes == 0`` — yet remain bit-identical
-  to scalar runs per lane, across lane counts up to 64;
+  stay lane-parallel yet remain bit-identical to scalar runs per lane,
+  across lane counts up to 64;
 * lanes frozen by an early ``done`` predicate never perturb survivors
   (hypothesis property);
 * the mask loop is a module of its own, loaded lazily: lockstep-only
@@ -150,7 +150,6 @@ def test_gsumif_mask_lanes_bit_identical_to_scalar(lanes):
     engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     # Distinct input sets must diverge — and stay lane-parallel.
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     assert engine.divergence is not None
     assert engine.done_mask == (1 << lanes) - 1
     for lane, seed in enumerate(seeds):
@@ -220,7 +219,6 @@ def test_synthetic_divergence_bit_identical_to_scalar(backend, lanes):
         max_cycles=10_000, uniform_done=True,
     )
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     assert engine.divergence is not None
     assert "br" in engine.divergence.channel
 
@@ -282,7 +280,6 @@ def test_frozen_lanes_never_perturb_survivors(values, data, slots, backend):
         lambda lane: engine.sink_count("out", lane) >= targets[lane],
         max_cycles=5_000, uniform_done=False,
     )
-    assert engine.fallback_lanes == 0
     if len(set(targets)) > 1:
         assert engine.mask_promotions == 1
     for lane, target in enumerate(targets):
@@ -409,7 +406,6 @@ def test_divergent_batch_loads_mask_module_once(codegen_cache,
     second, _, cycles_b = _run_batched(lowered, seeds, "codegen")
     assert second.mask_codegen_key == first.mask_codegen_key
     assert second.mask_codegen_origin == "memory"
-    assert second.fallback_lanes == 0
     assert cycles_b == cycles_a
 
 
@@ -430,7 +426,6 @@ def test_disk_loaded_module_still_promotes(codegen_cache, backend):
     assert second.mask_codegen_key == first.mask_codegen_key
     assert second.mask_codegen_origin == "disk"
     assert second.mask_promotions == 1
-    assert second.fallback_lanes == 0
     assert cycles_b == cycles_a
     assert recv_b == recv_a
 
@@ -439,7 +434,7 @@ _FRESH_PROCESS = """
 from tests.sim.test_mask_lanes import _diverge_batch
 engine, cycles, _ = _diverge_batch()
 print(engine.codegen_origin, engine.mask_codegen_origin,
-      engine.mask_promotions, engine.fallback_lanes, cycles)
+      engine.mask_promotions, cycles)
 """
 
 
@@ -456,8 +451,8 @@ def test_fresh_process_loads_mask_module_from_disk(codegen_cache):
              "REPRO_CODEGEN_CACHE": str(codegen_cache)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split(" ", 4) == [
-        "disk", "disk", "1", "0", f"{cycles}\n",
+    assert proc.stdout.split(" ", 3) == [
+        "disk", "disk", "1", f"{cycles}\n",
     ]
 
 
@@ -473,14 +468,13 @@ def test_goldens_forced_mask_bit_identical(kernel, technique, oracle):
     # start_masked=True promotes before the first cycle: the whole run
     # executes in mask mode, so lockstep-only kernels also prove the
     # masked emitters bit-identical to scalar execution and to the
-    # reference interpreter, with zero scalar fallback.
+    # reference interpreter.
     lowered = _prepare(kernel, technique)
     seeds = [7, 11]
     engine, memories, cycles = _run_batched(
         lowered, seeds, "codegen", start_masked=True,
     )
     assert engine.mask_promotions == 1
-    assert engine.fallback_lanes == 0
     _assert_lanes_match(oracle, lowered, seeds, engine, memories, cycles,
                         "compiled", f"{kernel}-{technique}")
 
@@ -499,6 +493,5 @@ def test_promotion_lifts_state_into_plane(oracle):
     engine, memories, cycles = _run_batched(lowered, seeds, "codegen")
     assert engine.mask_promotions == 1
     assert engine.promotion_cycle > 0
-    assert engine.fallback_lanes == 0
     _assert_lanes_match(oracle, lowered, seeds, engine, memories, cycles,
                         "codegen", "gsumif-crush")
