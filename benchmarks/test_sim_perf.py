@@ -13,18 +13,13 @@ representative Table 2 kernels in one process:
 A fourth column measures the batched (lane-parallel) codegen
 backend at 8 lanes of distinct input sets, reporting per-dataset
 throughput against a lanes=1 batch.  A dedicated ``divergent_lanes``
-section runs ``gsumif`` — whose data-dependent branch diverges
-immediately, so pre-mask the batch fell back to scalar and gained
-nothing — at 64 lanes of divergent seeds through the mask loop,
-reporting per-dataset throughput against the 64 scalar codegen runs it
-replaces and against the same 64 seeds run one at a time on the event
-backend.  On
-fully divergent control every comb block keeps at least one armed lane
-nearly every cycle, so per-block Python dispatch dominates and
-per-dataset cost lands at ~parity with scalar codegen; the
-asserted floors pin that parity (no regression back toward the
-fallback's per-lane engine setup cost) and the multiple over
-sequential event execution.
+section runs ``gsumif`` — whose data-dependent branch diverges within a
+few cycles — at 64 lanes of divergent seeds.  Divergence ends the batch
+and every seed reruns on scalar codegen, so the batch's wall time
+(lockstep prefix plus reruns) is reported against the 64 scalar codegen
+runs it amounts to and against the same 64 seeds run one at a time on
+the event backend.  The asserted floors pin the rerun at near parity
+with scalar codegen and the multiple over sequential event execution.
 
 Results land in ``BENCH_sim.json`` at the repo root so the simulator's
 perf trajectory accumulates PR over PR.  The schema keeps the
@@ -67,7 +62,7 @@ LANE_SEEDS = tuple(range(7, 7 + LANES))
 
 #: Divergent-control benchmark: gsumif's branch depends on loaded data,
 #: so lanes with distinct seeds diverge within a few cycles and the
-#: whole run executes in mask-lane mode.
+#: batch reruns every seed on scalar codegen.
 DIVERGENT_KERNEL = "gsumif"
 DIVERGENT_LANES = 64
 DIVERGENT_SEEDS = tuple(range(100, 100 + DIVERGENT_LANES))
@@ -161,26 +156,20 @@ def _measure_lanes(lowered, repeats: int = 2):
 
 
 def _measure_divergent(lowered, repeats: int = 2):
-    """Mask-lane throughput on control-divergent input sets.
+    """Divergent-batch cost: lockstep prefix plus scalar codegen reruns.
 
-    Runs the 64-lane divergent batch through the mask loop against two
-    baselines: the same seeds one at a time on the scalar codegen
-    backend (the work the batch replaces), and the same seeds one at a
-    time on the scalar event backend (summed ``sim_wall_s``, the
-    sequential reference).  Gating correctness: every lane must match
-    its scalar run bit-for-bit with exactly one mask promotion per
-    batch.  The best of ``repeats``
-    batches is reported, so the mask module's one-time compile (first
-    batch only) stays out of the steady-state figure.
+    Runs the 64-lane divergent batch against two baselines: the same
+    seeds one at a time on the scalar codegen backend (summed
+    ``sim_wall_s``, the work the reruns repeat), and the same seeds one
+    at a time on the scalar event backend (the sequential reference).
+    Gating correctness: every lane must diverge and match its scalar run
+    bit-for-bit.  The best of ``repeats`` batches is reported.
 
-    Honest figures: on *fully* divergent control every comb block has
-    some armed lane nearly every cycle, so the mask loop's block count
-    stays at full occupancy and the per-block Python dispatch dominates
-    — per-dataset throughput lands at ~scalar parity
-    (~0.9–1.2x, host noise ±15%), not the vectorized multiple; the
-    structural win is vs sequential event runs (~3x) and vs the
-    pre-mask scalar fallback this mode replaced (per-lane engine setup,
-    lost bit-identity-under-one-engine).
+    The batch's ``sim_wall_s`` spans the lockstep prefix and all 64
+    reruns, including each rerun's reference interpretation and engine
+    build, which the scalar sum leaves out — so per-dataset speedup sits
+    a little under 1x by construction.  Divergence costs a rerun, not a
+    slowdown beyond it.
     """
     scalar_wall = 0.0
     scalar = {}
@@ -211,10 +200,10 @@ def _measure_divergent(lowered, repeats: int = 2):
         )
         wall = min(wall, runs[0].sim_wall_s)
     for seed, run in zip(DIVERGENT_SEEDS, runs):
-        assert run.mask_promotions == 1, (seed, run.mask_promotions)
+        assert run.divergence, seed
         assert (run.cycles, run.fires) == scalar[seed], seed
     out["divergence"] = runs[0].divergence
-    out["sim_wall_s_lanes64"] = round(wall, 4)
+    out["sim_wall_s_lanes64_with_rerun"] = round(wall, 4)
     out["speedup_per_dataset"] = round(scalar_wall / wall, 2)
     out["speedup_vs_event_sequential"] = round(event_wall / wall, 2)
     return out
@@ -257,16 +246,12 @@ def test_batched_lanes_speedup_per_dataset(measurements):
             name, per["codegen_lanes"])
 
 
-def test_divergent_mask_lanes_speedup_per_dataset(divergent_measurement):
-    """Divergent-control floors.  On *fully* divergent control every
-    comb block has an armed lane nearly every cycle, so block count
-    stays at full occupancy and per-block Python dispatch dominates.
-    Honest per-dataset figures vs scalar codegen: ~0.9–1.2x (host noise
-    ±15%); the structural win is vs sequential event runs (~3x) and vs
-    the pre-mask scalar fallback (per-lane engine setup, no bit-identity
-    under one engine).  The parity floors guard against regressing below the
-    fallback the mask loop replaced; the event-sequential floors pin
-    the multiple where lane batching genuinely pays."""
+def test_divergent_rerun_speedup_per_dataset(divergent_measurement):
+    """Divergent-control floors.  A divergent batch costs its lockstep
+    prefix plus one scalar codegen run per seed, so per-dataset speedup
+    against the scalar sum stays near parity (the floor allows for the
+    reruns' setup and host noise); against sequential event runs the
+    codegen reruns keep their multiple."""
     assert divergent_measurement["speedup_per_dataset"] >= 0.7, (
         divergent_measurement)
     assert divergent_measurement["speedup_vs_event_sequential"] >= 2.0, (

@@ -108,16 +108,13 @@ def _cmd_run(args) -> int:
             for row in rows:
                 print(f"  seed {row.seed:<6d}: {row.cycles} cycles, "
                       f"{row.exec_time_us} us (verified against reference)")
-        # One head row per batch carries that batch's divergence
-        # provenance (every row of a batch shares it).
-        heads = [rows[0] for rows in batches]
-        promoted = [h for h in heads if h.mask_promotions]
-        if promoted:
-            sites = sorted({h.divergence for h in promoted if h.divergence})
-            line = (f"mask-lanes in {len(promoted)}/{n_b} batch(es) "
-                    f"(diverged on {', '.join(sites)})")
-        else:
-            line = "lockstep (no control divergence)"
+        # Every row of a batch shares its divergence provenance.
+        reruns = [rows[0].divergence for rows in batches
+                  if rows[0].divergence]
+        line = f"lockstep in {n_b - len(reruns)}/{n_b} batch(es)"
+        if reruns:
+            line += (f"; scalar rerun in {len(reruns)} "
+                     f"(diverged on {', '.join(sorted(set(reruns)))})")
         print(f"execution   : {line}")
         return 0
 

@@ -60,16 +60,19 @@ class CombinationalCycleError(SimulationError):
 
 
 class LaneDivergence(Exception):
-    """Internal control-flow signal of the batched (lane-parallel) engines.
+    """Control divergence in a lockstep batched (lane-parallel) pass.
 
-    Raised *inside* a lockstep batched pass when the lanes stop agreeing on
-    a control decision — a branch condition or mux/demux select whose
-    per-lane values differ in effect, or a ``done`` predicate satisfied by
-    some lanes but not others.  It never escapes to callers: the
-    generated-loop engines catch it and *promote* the batch to mask-lane
-    (MIMD) execution, the event backend re-executes every lane on a scalar
-    engine; both are bit-identical by construction.  Deliberately *not* a
-    :class:`ReproError` so generic error handlers cannot swallow it.
+    Raised *inside* the batched engine's generated loop when the lanes
+    stop agreeing on a control decision — a branch condition or
+    mux/demux select whose per-lane values differ in effect, or a
+    ``done`` predicate satisfied by some lanes but not others.  The loop
+    catches it and exits; :meth:`BatchedCodegenEngine.run_lanes
+    <repro.sim.batched.BatchedCodegenEngine.run_lanes>` stamps the cycle
+    and re-raises it, ending the batch.
+    :func:`~repro.frontend.runner.simulate_kernel_batch` catches it and
+    reruns every seed on a scalar codegen engine, so its callers never
+    see it.  Deliberately *not* a :class:`ReproError` so generic error
+    handlers cannot swallow it.
 
     Attributes
     ----------
@@ -79,8 +82,8 @@ class LaneDivergence(Exception):
     values:
         The per-lane values that disagreed (tuple, lane index = dataset).
     cycle:
-        Simulation cycle of the divergence; filled in by the catching
-        engine (the raise site works on unsynced loop locals).
+        Simulation cycle of the divergence; filled in by ``run_lanes``
+        (the raise site works on unsynced loop locals).
     """
 
     def __init__(self, channel=None, values=None, cycle=None):

@@ -8,17 +8,21 @@ deadlock, and report the cycle count.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import LaneDivergence, SimulationError
 from ..sim import Memory, SimProfile, Trace, create_engine
 from .interp import RefResult, run_reference
 from .ir import Kernel
 from .lower import LoweredKernel
+
+#: Rerun decisions are logged next to the batched engine's own records.
+_batch_log = logging.getLogger("repro.sim.batched")
 
 
 @dataclass
@@ -32,10 +36,9 @@ class KernelRun:
     reference: RefResult
     sim_wall_s: float
     mismatches: Dict[str, float] = field(default_factory=dict)
-    #: Batched-run provenance (zero/None on scalar runs and on lockstep
-    #: batches): lockstep→mask-lane promotions performed, and the
-    #: diverging control site as ``"<channel>@<cycle>"``.
-    mask_promotions: int = 0
+    #: Batched-run provenance (None on scalar runs and on lockstep
+    #: batches): the control site as ``"<channel>@<cycle>"`` where the
+    #: batch diverged and its seeds were rerun on scalar codegen.
     divergence: Optional[str] = None
 
 
@@ -157,14 +160,21 @@ def simulate_kernel_batch(
     — same per-lane cycle counts, fire counts, memory contents and
     reference checks, bit for bit — but the batched engine
     (:mod:`repro.sim.batched`) evaluates all lanes in one generated-loop
-    pass, so the batch costs far less wall clock than ``len(seeds)``
-    scalar runs.  ``backend`` is ``"compiled"`` or ``"codegen"`` (both
-    build the same batched engine); ``"event"`` simulates one input set
-    at a time and raises :class:`SimulationError`.
+    pass, so a lockstep batch costs far less wall clock than
+    ``len(seeds)`` scalar runs.  ``backend`` is ``"compiled"`` or
+    ``"codegen"`` (both build the same batched engine); ``"event"``
+    simulates one input set at a time and raises :class:`SimulationError`.
+
+    When the lanes diverge on control (:class:`~repro.errors.LaneDivergence`)
+    the batch ends and every seed reruns on a scalar codegen engine;
+    each returned run's ``divergence`` names the site as
+    ``"<channel>@<cycle>"``.  The reruns rebuild their memories from the
+    seeds and reset every unit, so nothing of the batch carries over.
 
     ``sim_wall_s`` on every returned :class:`KernelRun` is the wall time
     of the *whole batch* (lanes do not run separately, so there is no
-    per-lane time to report).  Observers (trace/profile/sanitizer) are
+    per-lane time to report); after a divergence that is the lockstep
+    prefix plus the reruns.  Observers (trace/profile/sanitizer) are
     scalar-only; requesting them here raises :class:`SimulationError`.
     """
     kernel = lowered.kernel
@@ -201,17 +211,31 @@ def simulate_kernel_batch(
     # together), so when the per-lane targets agree lane 0 speaks for
     # the whole batch.  Distinct targets mean the executions differ by
     # construction; the engine then checks every lane each cycle and
-    # promotes to mask-lane execution at the first partial completion.
+    # raises at the first partial completion.
     uniform = len(set(expected)) == 1
 
     t0 = time.perf_counter()
-    lane_cycles = engine.run_lanes(
-        done_lane, max_cycles=max_cycles, uniform_done=uniform
-    )
+    try:
+        lane_cycles = engine.run_lanes(
+            done_lane, max_cycles=max_cycles, uniform_done=uniform
+        )
+    except LaneDivergence as exc:
+        site = f"{exc.channel}@{exc.cycle}"
+        _batch_log.info(
+            "structure %s diverged on %s: rerunning %d seed(s) on "
+            "scalar codegen", engine.schedule.key[:16], site, lanes,
+        )
+        reruns = [
+            simulate_kernel(lowered, seed=s, backend="codegen", check=check,
+                            max_cycles=max_cycles, sanitize=sanitize)
+            for s in seeds
+        ]
+        wall = time.perf_counter() - t0
+        for run in reruns:
+            run.sim_wall_s = wall
+            run.divergence = site
+        return reruns
     wall = time.perf_counter() - t0
-
-    div = engine.divergence
-    div_site = f"{div.channel}@{div.cycle}" if div is not None else None
 
     runs: List[KernelRun] = []
     for lane, (memory, reference) in enumerate(zip(memories, references)):
@@ -234,12 +258,10 @@ def simulate_kernel_batch(
                 )
         runs.append(KernelRun(
             cycles=lane_cycles[lane],
-            fires=engine.lane_fires[lane],
+            fires=engine.total_fires,
             checked=check,
             arrays=arrays,
             reference=reference,
             sim_wall_s=wall,
-            mask_promotions=engine.mask_promotions,
-            divergence=div_site,
         ))
     return runs

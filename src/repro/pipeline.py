@@ -61,11 +61,11 @@ class TechniqueResult:
     #: Input-data seed the simulation ran with (``cycles`` depends on it
     #: for data-dependent kernels).  Part of the row's identity.
     seed: int = 7
-    #: Batched-run provenance (zero/empty on scalar rows and lockstep
-    #: batches): lockstep→mask-lane promotions and the diverging control
-    #: site (``"<channel>@<cycle>"``).  Not metrics — the numbers they
-    #: annotate are bit-identical either way.
-    mask_promotions: int = 0
+    #: Batched-run provenance (empty on scalar rows and lockstep
+    #: batches): the control site (``"<channel>@<cycle>"``) where the
+    #: lane batch diverged and its seeds were rerun on scalar codegen.
+    #: Not a metric — the numbers it annotates are bit-identical either
+    #: way.
     divergence: str = ""
     #: Statically predicted steady-state II from the token-flow analyzer
     #: (:mod:`repro.analysis.tokenflow`), as an exact ``Fraction`` string
@@ -127,7 +127,6 @@ class TechniqueResult:
             "lint_errors": self.lint_errors,
             "lint_warnings": self.lint_warnings,
             "seed": self.seed,
-            "mask_promotions": self.mask_promotions,
             "divergence": self.divergence,
             "predicted_ii": self.predicted_ii,
             "flow_diags": self.flow_diags,
@@ -138,8 +137,9 @@ class TechniqueResult:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TechniqueResult":
         """Inverse of :meth:`to_dict`.  Keys this class no longer has
-        (e.g. ``data_plane`` or ``fallback_lanes``, written by older
-        sweeps) are ignored, so earlier JSON artifacts still load."""
+        (e.g. ``data_plane``, ``fallback_lanes`` or ``mask_promotions``,
+        written by older sweeps) are ignored, so earlier JSON artifacts
+        still load."""
         est = data.get("estimate")
         return cls(
             kernel=data["kernel"],
@@ -160,7 +160,6 @@ class TechniqueResult:
             lint_errors=data.get("lint_errors", 0),
             lint_warnings=data.get("lint_warnings", 0),
             seed=data.get("seed", 7),
-            mask_promotions=data.get("mask_promotions", 0),
             divergence=data.get("divergence", ""),
             predicted_ii=data.get("predicted_ii", ""),
             flow_diags=data.get("flow_diags", 0),
@@ -391,7 +390,6 @@ def _result_row(
     sim_backend: Optional[str],
     lint_errors: int,
     lint_warnings: int,
-    mask_promotions: int = 0,
     divergence: str = "",
     predicted_ii: str = "",
     flow_diags: int = 0,
@@ -418,7 +416,6 @@ def _result_row(
         lint_errors=lint_errors,
         lint_warnings=lint_warnings,
         seed=seed,
-        mask_promotions=mask_promotions,
         divergence=divergence,
         predicted_ii=predicted_ii,
         flow_diags=flow_diags,
@@ -445,7 +442,8 @@ def run_technique_batch(
     estimated **once** (those steps do not depend on input data), and
     the per-seed cycle counts come from one batched engine pass
     (:func:`repro.frontend.simulate_kernel_batch`), which the batched
-    engine guarantees bit-identical to scalar runs.  ``opt_time_s`` is
+    engine guarantees bit-identical to scalar runs; a batch whose lanes
+    diverge on control reruns its seeds on scalar codegen.  ``opt_time_s`` is
     the shared preparation's wall clock, identical across the rows.
 
     Observers (``sanitize``) are scalar-only and deliberately not offered
@@ -469,7 +467,6 @@ def run_technique_batch(
         _result_row(
             prep, est, run.cycles, seed,
             sim_backend=sim_backend,
-            mask_promotions=run.mask_promotions,
             divergence=run.divergence or "",
             **cols,
         )

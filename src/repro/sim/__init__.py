@@ -25,9 +25,11 @@ semantics:
 
 ``lanes=`` selects the one batched engine (:mod:`repro.sim.batched`):
 ``"compiled"`` and ``"codegen"`` both build
-:class:`BatchedCodegenEngine`, a lane-parallel generated loop loaded
-through the codegen disk cache.  ``"event"`` is refused there: the
-event engine simulates one input set at a time.
+:class:`BatchedCodegenEngine`, a lane-parallel lockstep generated loop
+loaded through the codegen disk cache.  It runs lockstep only: control
+divergence between lanes ends the batch, and the kernel runner reruns
+its seeds on scalar codegen.  ``"event"`` is refused there: the event
+engine simulates one input set at a time.
 
 Select a backend with :func:`create_engine`, the ``--sim-backend`` CLI
 flag, or the ``REPRO_SIM_BACKEND`` environment variable.

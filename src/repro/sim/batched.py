@@ -16,46 +16,28 @@ therefore the *control* behaviour is shared, only the data differs.
 * **Lockstep is checked, not assumed.**  Everywhere data feeds a control
   decision (branch condition, mux/demux select, the per-lane ``done``
   predicate) the generated code verifies the lanes agree; a disagreement
-  raises :class:`~repro.errors.LaneDivergence`.  The engine catches it
-  (loop exit status 4) and **promote the batch to
-  mask-lane (MIMD) execution**: a second generated module's
-  ``make_mask_loop`` continues the pass with every 1-bit control signal
-  packed as a per-lane bitmask integer, per-unit sequential state split
-  per lane
-  (:func:`~repro.sim.codegen_blocks.mask_state`), and a ``live`` mask
-  giving each lane its own done/cycle-freeze bit.  Lanes keep executing
-  in parallel through arbitrary control divergence; nothing falls back
-  to scalar.  Batched results are **bit-identical to B scalar runs by
-  construction**: in lockstep because every lane's values evolve exactly
-  as they would alone (shared control is *verified* equal), and in mask
-  mode because every masked block is the scalar block's logic applied
-  lane-wise under the lane's own control bits.  The promotion itself is
-  sound because the combinational pass never mutates unit state and the
-  engine re-arms every activation flag first, so the mask loop's first
-  pass recomputes the fixpoint from scratch — exactly like engine
-  initialization.
+  raises :class:`~repro.errors.LaneDivergence`.  The generated loop
+  catches it (exit status 4) and :meth:`BatchedCodegenEngine.run_lanes`
+  re-raises it, stamped with the cycle: divergence *ends the batch*.
+  :func:`~repro.frontend.runner.simulate_kernel_batch` catches it and
+  reruns every seed on a scalar codegen engine.  A batch that finishes
+  is bit-identical to ``B`` scalar runs by construction: every lane's
+  values evolve exactly as they would alone because the shared control
+  is *verified* equal each cycle.
 
-Per-lane termination uses a done-mask: the engine tracks which lanes
-have satisfied their ``done`` predicate.  In lockstep the mask can only
-go from empty to full in one step (per-lane completion cycles are
-recorded then); a *partial* mask is itself a divergence and promotes to
-mask mode, where the finished lanes' ``live`` bits are cleared and they
-coast with frozen state while the rest run to completion.
-
-The two generated modules are loaded independently: the lockstep
-module (``make_loop``) when the engine is built, the mask-loop module
-(``make_mask_loop``) only the first time a batch promotes, so batches
-that never diverge never pay for generating or compiling it.  Each
-module carries its own variant marker, so their cache keys are disjoint.
+Per-lane termination: under lockstep every lane must satisfy its
+``done`` predicate in the same cycle.  A *partial* done-mask (some lanes
+done, others not) is itself a divergence, raised as
+``LaneDivergence("done")``.
 
 :class:`BatchedCodegenEngine` is the one batched engine.
 :func:`~repro.sim.create_engine` builds it for ``lanes=`` with either
 generated-loop backend name (``"compiled"`` or ``"codegen"``) and
 refuses ``"event"``: the event engine simulates one input set at a
-time.  Both modules load through :func:`~repro.sim.codegen.load_module`,
-the same in-process memo and content-addressed disk cache as scalar
-codegen modules (scalar, laned-lockstep and mask-loop sources always
-differ, so their keys can never collide).
+time.  The laned module loads through
+:func:`~repro.sim.codegen.load_module`, the same in-process memo and
+content-addressed disk cache as scalar codegen modules (laned and
+scalar sources always differ, so their keys can never collide).
 
 Observers are refused up front: a ``Trace``/``SimProfile``/sanitizer
 observes one circuit execution, and a batched pass is ``B`` of them
@@ -66,19 +48,11 @@ simulations.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..circuit import DataflowCircuit
-from ..errors import DeadlockError, LaneDivergence, SimulationError
-from .codegen import (
-    CodegenEngine,
-    generate_mask_source,
-    generate_source,
-    load_module,
-    source_key,
-)
-from .codegen_blocks import mask_state
-from .deadlock import diagnose
+from ..errors import LaneDivergence, SimulationError
+from .codegen import CodegenEngine, generate_source, load_module, source_key
 from .engine import DEFAULT_DEADLOCK_WINDOW
 from .memory import Memory
 from .sanitize import sanitize_default
@@ -153,18 +127,8 @@ class BatchedCodegenEngine:
             )
         self.memories: List[Memory] = mems
 
-        #: Bit l set once lane l's ``done`` predicate held.
-        self.done_mask = 0
-        self.lane_cycles: List[int] = [0] * lanes
-        self._lane_fires: List[int] = [0] * lanes
-        #: Lockstep→mask promotions performed (0 = stayed lockstep).
-        self.mask_promotions = 0
-        #: Cycle of the first promotion, or None.
-        self.promotion_cycle: Optional[int] = None
-        #: The :class:`LaneDivergence` that triggered it, or None.
-        self.divergence: Optional[LaneDivergence] = None
+        #: Set by the generated loop when it catches a LaneDivergence.
         self._divergence: Optional[LaneDivergence] = None
-        self._masked = False
 
         schedule = compile_schedule(circuit)
         self.schedule = schedule
@@ -188,25 +152,9 @@ class BatchedCodegenEngine:
         self._mrd = [m.read for m in self.memories]
         self._mwr = [m.write for m in self.memories]
 
-        self._slot_of: Dict[str, int] = {
-            n: i for i, n in enumerate(schedule.names)
-        }
-
-        # Mask-mode (MIMD) state; populated by ``_promote``.
-        self._mv: Optional[List[int]] = None
-        self._mr: Optional[List[int]] = None
-        self._mstate: Optional[List[Optional[dict]]] = None
-        self._live = 0
-        self._fa = 0
-        self._mask_loop = None
-        #: Cache key and load origin of the mask-loop module; None until
-        #: the first promotion loads it.
-        self.mask_codegen_key: Optional[str] = None
-        self.mask_codegen_origin: Optional[str] = None
-
         source = generate_source(circuit, schedule, lanes=True)
-        ns, key, origin = self._load(source)
-        self.codegen_key = key
+        self.codegen_key = source_key(source)
+        ns, origin = load_module(source, key=self.codegen_key)
         self.codegen_origin = origin
         self._loop = ns["make_loop"](self)
         _log.info(
@@ -214,116 +162,20 @@ class BatchedCodegenEngine:
             lanes, origin,
         )
 
-    @staticmethod
-    def _load(source: str):
-        key = source_key(source)
-        ns, origin = load_module(source, key=key)
-        return ns, key, origin
-
     # ------------------------------------------------------- per-lane views
+    # A finished batch ran lockstep, so every lane saw every fire and
+    # every sink append carries one value per lane.
     @property
     def lane_fires(self) -> List[int]:
-        return list(self._lane_fires)
+        return [self.total_fires] * self.lanes
 
     def sink_count(self, name: str, lane: int) -> int:
         """Number of tokens lane ``lane`` delivered to sink ``name``."""
-        if self._masked:
-            return len(self._mstate[self._slot_of[name]]["recv"][lane])
-        # Lockstep: every append carries one value per lane.
         return len(self.circuit.units[name].received)
 
     def sink_received(self, name: str, lane: int) -> list:
         """Values lane ``lane`` delivered to sink ``name``, in order."""
-        if self._masked:
-            return list(self._mstate[self._slot_of[name]]["recv"][lane])
         return [t[lane] for t in self.circuit.units[name].received]
-
-    # ------------------------------------------------------------- promotion
-    def _promote(self) -> None:
-        """Switch from the lockstep loop to the mask-lane (MIMD) loop.
-
-        Sound at any point where the lockstep loop stopped — after a
-        completed cycle (partial done-mask) or mid-combinational-pass
-        (data→control divergence) — because the combinational pass never
-        mutates unit state: promoting the synced signal arrays to lane
-        masks and re-arming every activation flag makes the mask loop's
-        first pass recompute the handshake fixpoint from scratch, with
-        semantics identical to engine initialization.
-
-        The mask-loop module is loaded here, so only batches that
-        actually diverge (or ``start_masked`` runs) ever generate or
-        compile it.
-        """
-        lb = self.lanes
-        full = (1 << lb) - 1
-        # Control bits -> lane bitmasks; data locals -> always lane tuples
-        # (``zt`` stands in wherever no lane is valid).
-        self._mv = [full if b else 0 for b in self.valid]
-        self._mr = [full if b else 0 for b in self.ready]
-        zt = (None,) * lb
-        self.data = [zt if d is None else d for d in self.data]
-        self._mstate = [mask_state(u, lb, full) for u in self._units]
-        self._aflags[:] = b"\x01" * len(self._aflags)
-        self._quiet = False
-        # Lanes already retired by a partial done-mask coast from the
-        # start; everyone else is checked on first fire activity.
-        self._live = full & ~self.done_mask
-        self._fa = self._live
-        baseline = self.total_fires
-        for lane in range(lb):
-            # In lockstep every lane saw every channel fire, so each
-            # lane's own fire count *is* the shared total so far.
-            self._lane_fires[lane] = baseline
-            if self.done_mask >> lane & 1:
-                self.lane_cycles[lane] = self.cycle
-        self.mask_promotions += 1
-        if self.promotion_cycle is None:
-            self.promotion_cycle = self.cycle
-        self._masked = True
-        source = generate_mask_source(self.circuit, self.schedule)
-        ns, key, origin = self._load(source)
-        self.mask_codegen_key = key
-        self.mask_codegen_origin = origin
-        self._mask_loop = ns["make_mask_loop"](self)
-        _log.info(
-            "structure %s promoted to mask lanes at cycle %d "
-            "(mask module %s)",
-            self.schedule.key[:16], self.cycle, origin,
-        )
-
-    def _raise_mask_status(self, status: int, max_cycles: int) -> None:
-        if status == 2:
-            liv = self._live
-            valid = bytearray(1 if m & liv else 0 for m in self._mv)
-            ready = bytearray(1 if m & liv else 0 for m in self._mr)
-            blocked = diagnose(self.circuit, valid, ready)
-            raise DeadlockError(
-                f"deadlock at cycle {self.cycle}: no activity for "
-                f"{self._idle_cycles} cycles across the "
-                f"{liv.bit_count()} live lane(s)\n  "
-                + "\n  ".join(blocked),
-                cycle=self.cycle,
-                blocked=blocked,
-            )
-        if status == 3:
-            raise SimulationError(
-                f"simulation exceeded {max_cycles} cycles without "
-                f"completing ({self.total_fires} transfers so far)"
-            )
-
-    def _run_masked(
-        self,
-        done_lane: Callable[[int], bool],
-        max_cycles: int,
-    ) -> List[int]:
-        while True:
-            budget = max(max_cycles - self.cycle, 0) + 1
-            status, _ = self._mask_loop(
-                budget, done_lane, max_cycles, self.deadlock_window
-            )
-            if status == 1:
-                return list(self.lane_cycles)
-            self._raise_mask_status(status, max_cycles)
 
     # Lockstep exit statuses mean what they mean for the scalar loop.
     _raise_status = CodegenEngine._raise_status
@@ -333,7 +185,6 @@ class BatchedCodegenEngine:
         done_lane: Callable[[int], bool],
         max_cycles: int = 1_000_000,
         uniform_done: bool = False,
-        start_masked: bool = False,
     ) -> List[int]:
         """Run until every lane's ``done_lane(l)`` holds; per-lane cycles.
 
@@ -345,30 +196,15 @@ class BatchedCodegenEngine:
         checked each cycle and a *partial* done-mask — some lanes done,
         others not — is itself a divergence.
 
-        Divergence (loop exit status 4, or the partial done-mask raise)
-        *promotes* the batch to mask-lane execution: the run continues
-        in place with per-lane control bitmasks, and no lane ever re-runs
-        on a scalar engine.
-
-        In mask mode ``done_lane`` is re-checked only for lanes with a
-        fire into a ``Sink`` or ``StorePort`` since their previous
-        check: predicates must observe lane progress through sink
-        receptions and/or memory writes (as the kernel runner's and all
-        repo predicates do) — both are monotone and advance exactly on
-        those fires, so no completion can be missed.
-
-        ``start_masked=True`` is a test hook: promote before the first
-        cycle (the pristine state — everything armed, nothing fired — is
-        exactly what promotion produces) so lockstep-only workloads can
-        be forced through the mask loop for differential testing.
+        Divergence (loop exit status 4, or a partial done-mask) ends the
+        batch: the :class:`~repro.errors.LaneDivergence` leaves this
+        method with its ``channel`` and ``cycle`` set, and the engine's
+        state is then meaningless.  The caller reruns the lanes on
+        scalar engines (:func:`~repro.frontend.runner.simulate_kernel_batch`
+        does).
         """
         full = (1 << self.lanes) - 1
         rng = range(self.lanes)
-
-        if start_masked and not self._masked:
-            self._promote()
-        if self._masked:
-            return self._run_masked(done_lane, max_cycles)
 
         if uniform_done:
             def done() -> bool:
@@ -383,7 +219,6 @@ class BatchedCodegenEngine:
                     return True
                 if mask:
                     # Caught by the generated loop's status-4 handler.
-                    self.done_mask = mask
                     raise LaneDivergence(
                         "done", tuple(bool(mask >> l & 1) for l in rng)
                     )
@@ -396,17 +231,11 @@ class BatchedCodegenEngine:
                 None, None,
             )
             if status == 1:
-                break
+                return [self.cycle] * self.lanes
             if status == 4:
                 exc = self._divergence
-                if exc is not None and exc.cycle is None:
+                assert exc is not None
+                if exc.cycle is None:
                     exc.cycle = self.cycle
-                self.divergence = exc
-                self._promote()
-                return self._run_masked(done_lane, max_cycles)
+                raise exc
             self._raise_status(status, max_cycles)
-
-        self.done_mask = full
-        self.lane_cycles = [self.cycle] * self.lanes
-        self._lane_fires = [self.total_fires] * self.lanes
-        return list(self.lane_cycles)

@@ -40,9 +40,9 @@ generator — or switching Python versions can never serve stale code.
 The generated loop drives an attached ``Trace`` and
 ``HandshakeSanitizer`` itself; :class:`~repro.sim.profile.SimProfile` is
 rejected at construction — the loop has no per-unit instrumentation
-points.  The laned lockstep and mask-loop variants (``lanes=True`` /
-:func:`generate_mask_source`) load through the same :func:`load_module`
-cache and back :class:`~repro.sim.batched.BatchedCodegenEngine`.
+points.  The laned lockstep variant (``lanes=True``) loads through the
+same :func:`load_module` cache and backs
+:class:`~repro.sim.batched.BatchedCodegenEngine`.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from ..circuit import (
     FunctionalUnit,
     LoadPort,
     Sequence,
-    Sink,
     StorePort,
 )
 from ..errors import CircuitError, DeadlockError, LaneDivergence, SimulationError
@@ -75,12 +74,7 @@ from .codegen_blocks import (
     GROUP,
     LANE_EVAL_BLOCKS,
     LANE_TICK_BLOCKS,
-    MASK_EVAL_BLOCKS,
-    MASK_TICK_BLOCKS,
     TICK_BLOCKS,
-    mask_int_names,
-    mask_local,
-    mask_obj_names,
 )
 from .deadlock import diagnose
 from .engine import DEFAULT_DEADLOCK_WINDOW, BaseEngine
@@ -150,7 +144,7 @@ def _checked_units(circuit: DataflowCircuit,
 
 
 class _Layout:
-    """Slot/channel/group partition shared by the lockstep and mask loops."""
+    """Slot/channel/group partition of one generated loop (scalar or laned)."""
 
     def __init__(self, schedule: CircuitSchedule, units: List) -> None:
         in_chs, out_chs = schedule.in_chs, schedule.out_chs
@@ -189,16 +183,15 @@ def generate_source(circuit: DataflowCircuit,
     compute functions, memory) are bound through ``rt`` in ``make_loop``.
 
     ``lanes=True`` emits the *laned lockstep* variant used by the batched
-    engines (:mod:`repro.sim.batched`): same loop skeleton and scalar
+    engine (:mod:`repro.sim.batched`): same loop skeleton and scalar
     control signals, data locals widened to per-lane tuples, load/store
     dispatch through per-lane memory method lists, and ``LaneDivergence``
     raised where per-lane values disagree on a control decision.  The
-    laned loop catches that divergence itself (exit status 4); the
-    mask-lane continuation the engine then promotes to is a separate
-    module (:func:`generate_mask_source`), generated only for batches
-    that actually diverge.  The lane count itself is a runtime binding
-    (``rt.lanes``), so one laned module serves every batch width — but
-    laned and scalar source always differ (distinct disk-cache keys).
+    laned loop catches that divergence itself and exits with status 4;
+    the engine re-raises it to end the batch.  The lane count itself is a
+    runtime binding (``rt.lanes``), so one laned module serves every
+    batch width — but laned and scalar source always differ (distinct
+    disk-cache keys).
     """
     units = _checked_units(circuit, schedule)
     eval_blocks = LANE_EVAL_BLOCKS if lanes else EVAL_BLOCKS
@@ -257,8 +250,8 @@ def generate_source(circuit: DataflowCircuit,
     add("    def loop(budget, done, max_cycles, window, san, rec):")
     P = "        "  # loop-prologue indent
     # The laned loop wraps its cycle loop in try/except LaneDivergence
-    # (exit status 4: the batched engine promotes to the mask loop), so
-    # its body sits one level deeper; scalar source is unchanged.
+    # (exit status 4: the batched engine ends the batch), so its body
+    # sits one level deeper; scalar source is unchanged.
     W = P + ("    " if lanes else "")  # while-statement indent
     B = W + "    "  # cycle-body indent
 
@@ -409,10 +402,9 @@ def generate_source(circuit: DataflowCircuit,
     add(B + "    status = 2")
     add(B + "    break")
     if lanes:
-        # Divergence aborts the current cycle mid-comb-pass; the loop
-        # locals (synced below) are a valid promotion point because the
-        # combinational pass never mutates unit state and the batched
-        # engine re-arms every activation flag before the mask loop.
+        # Divergence aborts the current cycle mid-comb-pass; the epilogue
+        # below still publishes the cycle count, which the engine stamps
+        # on the exception.
         add(P + "except LaneDivergence as _e:")
         add(P + "    rt._divergence = _e")
         add(P + "    status = 4")
@@ -435,279 +427,14 @@ def generate_source(circuit: DataflowCircuit,
 
 def _header(L: List[str], variant: str, schedule: CircuitSchedule,
             units: List, lay: _Layout) -> None:
-    """The module banner.  ``variant`` names the module kind, so scalar,
-    laned-lockstep and mask-loop sources never share a cache key."""
+    """The module banner.  ``variant`` names the module kind, so scalar
+    and laned-lockstep sources never share a cache key."""
     L.append(f"# Generated by repro.sim.codegen ({variant}) -- "
              "do not edit by hand.")
     L.append(f"# structure {schedule.key[:16]}: {len(units)} units, "
              f"{len(lay.live)} channels, {schedule.n_occ} occurrences, "
              f"{len(lay.tick_slots)} tickable")
     L.append("")
-
-
-def generate_mask_source(circuit: DataflowCircuit,
-                         schedule: CircuitSchedule) -> str:
-    """Emit the mask-lane module (``make_mask_loop(rt)``) for ``circuit``.
-
-    The mask loop is the MIMD continuation the batched engine promotes to
-    after the first :class:`LaneDivergence`: every 1-bit control signal
-    becomes a per-lane bitmask integer (``rt._mv``/``rt._mr``), data
-    locals stay lane tuples, per-unit sequential state lives in per-slot
-    dicts (``rt._mstate``, seeded by
-    :func:`repro.sim.codegen_blocks.mask_state`), and each lane has its
-    own done/cycle-freeze bit in the ``live`` mask — finished lanes coast
-    with frozen state while the rest keep executing independently.
-
-    ``mloop(budget, done_lane, max_cycles, window)`` returns the same
-    status codes as the lockstep loop (0 budget, 1 all lanes done,
-    2 deadlock, 3 max_cycles); per-lane completion cycles land in
-    ``rt.lane_cycles`` and per-lane fire counts in ``rt._lane_fires``.
-    ``done_lane`` is only consulted for lanes with **retirement
-    activity** since their previous check: a fire on a channel feeding a
-    ``Sink`` or ``StorePort``.  Done predicates observe progress through
-    sink receptions and memory writes (both monotone and driven by
-    exactly those fires), so a lane with no sink/store fire cannot have
-    newly finished; gating the checks this way keeps the per-cycle
-    predicate calls proportional to completions instead of to fires.
-
-    Per-lane fire counts use carry-save vertical counters: each fired
-    channel's lane mask is added into bit-plane accumulators (``VP``,
-    a handful of big-int XOR/ANDs), and the planes are materialized
-    into ``rt._lane_fires`` in the epilogue — O(lanes) once per
-    ``mloop`` call instead of per fired channel per cycle.
-    """
-    units = _checked_units(circuit, schedule)
-    lay = _Layout(schedule, units)
-    live, n_occ = lay.live, schedule.n_occ
-    occ_groups, fire_groups = lay.occ_groups, lay.fire_groups
-    tick_groups, tgidx = lay.tick_groups, lay.tgidx
-    tick_slots, carry_slots = lay.tick_slots, lay.carry_slots
-    in_chs, out_chs = schedule.in_chs, schedule.out_chs
-    retire_chs = set()
-    for s, u in enumerate(units):
-        if isinstance(u, (Sink, StorePort)):
-            retire_chs.update(in_chs[s])
-    L: List[str] = []
-    add = L.append
-    _header(L, "laned mask loop", schedule, units, lay)
-    add("def make_mask_loop(rt):")
-    add("    U = rt._units")
-    add("    MV = rt._mv")
-    add("    MR = rt._mr")
-    add("    D = rt.data")
-    add("    A = rt._aflags")
-    add("    MS = rt._mstate")
-    add("    LB = rt.lanes")
-    add("    FULL = (1 << LB) - 1")
-    add("    ztup = (None,) * LB")
-    add("    LC = rt.lane_cycles")
-    add("    LF = rt._lane_fires")
-    if lay.needs_mem:
-        add("    mrd = rt._mrd")
-        add("    mwr = rt._mwr")
-    mbinds: List[str] = []
-    for s, u in enumerate(units):
-        if isinstance(u, FunctionalUnit):
-            mbinds.append(f"cp{s} = U[{s}]._compute")
-            for slot in sorted(u.const_ops):
-                mbinds.append(f"uc{s}_{slot} = U[{s}].const_ops[{slot}]")
-        if isinstance(u, (Entry, Constant)):
-            mbinds.append(f"uv{s} = (U[{s}].value,) * LB")
-        if isinstance(u, Sequence):
-            mbinds.append(f"uvq{s} = U[{s}].values")
-        if isinstance(u, (ArbiterMerge, FixedOrderMerge)):
-            mbinds.append(
-                f"lsel{s} = tuple((_i,) * LB for _i in range({u.n_in}))"
-            )
-        if isinstance(u, FixedOrderMerge):
-            mbinds.append(f"uord{s} = tuple(U[{s}].order)")
-    _pack(L, mbinds, "    ", per=4)
-    add("")
-    add("    def mloop(budget, done_lane, max_cycles, window):")
-    P = "        "
-    B = P + "    "
-
-    # -- prologue ----------------------------------------------------------
-    _pack(L, [f"v{c} = MV[{c}]; r{c} = MR[{c}]; d{c} = D[{c}]"
-              for c in live], P, per=2)
-    _pack(L, [f"a{k} = A[{k}]" for k in range(n_occ)], P)
-    _pack(L, [f"ga{g} = " + " or ".join(f"a{k}" for k in ks) + " or 0"
-              for g, ks in enumerate(occ_groups)], P, per=2)
-    _pack(L, [f"fg{g} = 1" for g in fire_groups], P)
-    sbinds: List[str] = []
-    for s, u in enumerate(units):
-        for nm in mask_int_names(u) + mask_obj_names(u):
-            sbinds.append(f"{mask_local(nm, s)} = MS[{s}][{nm!r}]")
-    _pack(L, sbinds, P, per=4)
-    _pack(L, [f"t{s} = 0; tb{s} = 0" for s in tick_slots], P, per=4)
-    _pack(L, [f"tg{g} = 0; tgb{g} = 0" for g in range(len(tick_groups))],
-          P, per=4)
-    if carry_slots:
-        add(P + "kany = " + " | ".join(f"kc{s}" for s in carry_slots))
-    else:
-        add(P + "kany = 0")
-    add(P + "VP = [0, 0, 0, 0, 0, 0, 0, 0]")
-    add(P + "live = rt._live")
-    add(P + "fa = rt._fa")
-    add(P + "quiet = rt._quiet")
-    add(P + "cycle = rt.cycle")
-    add(P + "idle = rt._idle_cycles")
-    add(P + "total_fires = rt.total_fires")
-    add(P + "status = 0")
-    add(P + "fires = 0")
-    add(P + "while budget > 0:")
-
-    # -- per-lane retirement (fire-activity gated) -------------------------
-    add(B + "if fa:")
-    add(B + "    _m = fa & live")
-    add(B + "    fa = 0")
-    add(B + "    while _m:")
-    add(B + "        _b = _m & -_m")
-    add(B + "        _m &= _m - 1")
-    add(B + "        _i = _b.bit_length() - 1")
-    add(B + "        if done_lane(_i):")
-    add(B + "            live &= ~_b")
-    add(B + "            LC[_i] = cycle")
-    add(B + "    if not live:")
-    add(B + "        status = 1")
-    add(B + "        break")
-    add(B + "if cycle >= max_cycles:")
-    add(B + "    status = 3")
-    add(B + "    break")
-    add(B + "budget -= 1")
-    add(B + "if quiet:")
-    add(B + "    fires = 0")
-    add(B + "    cycle += 1")
-    add(B + "    idle += 1")
-    add(B + "    if idle >= window:")
-    add(B + "        status = 2")
-    add(B + "        break")
-    add(B + "    continue")
-
-    # -- combinational pass (mask blocks, same group structure) ------------
-    add(B + "# combinational pass (mask mode)")
-    for g, ks in enumerate(occ_groups):
-        add(B + f"if ga{g}:")
-        add(B + f"    ga{g} = 0")
-        for k in ks:
-            s = schedule.occ_units[k]
-            u = units[s]
-            block = MASK_EVAL_BLOCKS[type(u)](
-                s, u, in_chs[s], out_chs[s], schedule
-            )
-            add(B + f"    if a{k}:")
-            add(B + f"        a{k} = 0")
-            for line in block:
-                add(B + "        " + line)
-
-    # -- fire scan: a channel fires in lanes where v & r & live ------------
-    add(B + "# fire scan (per-lane masks)")
-    add(B + "fires = 0")
-    for g, cs in fire_groups.items():
-        add(B + f"if fg{g}:")
-        add(B + f"    fg{g} = 0")
-        for c in cs:
-            add(B + f"    _f = v{c} & r{c} & live")
-            add(B + "    if _f:")
-            add(B + "        fires += 1")
-            add(B + f"        fg{g} = 1")
-            if c in retire_chs:
-                add(B + "        fa |= _f")
-            add(B + "        total_fires += _f.bit_count()")
-            add(B + "        _c = _f")
-            add(B + "        _p = 0")
-            add(B + "        while _c:")
-            add(B + "            if _p == len(VP):")
-            add(B + "                VP.append(0)")
-            add(B + "            _x = VP[_p]")
-            add(B + "            VP[_p] = _x ^ _c")
-            add(B + "            _c &= _x")
-            add(B + "            _p += 1")
-            for s in schedule.tick_mark[c]:
-                add(B + f"        t{s} = 1")
-            for tg in sorted({tgidx[s] for s in schedule.tick_mark[c]}):
-                add(B + f"        tg{tg} = 1")
-
-    add(B + "progress = 1 if fires else (kany & live)")
-    add(B + "ticked = 0")
-
-    # -- clock edge, pass 1: masked state transitions ----------------------
-    if tick_slots:
-        add(B + "# clock edge: masked state transitions")
-        for g, ss in enumerate(tick_groups):
-            guard = " or ".join(
-                [f"tg{g}"] + [f"(kc{s} & live)" for s in ss
-                              if s in carry_slots]
-            )
-            add(B + f"if {guard}:")
-            add(B + f"    tg{g} = 0")
-            for s in ss:
-                u = units[s]
-                tk = MASK_TICK_BLOCKS[type(u)][0](
-                    s, u, in_chs[s], out_chs[s], schedule
-                )
-                member = (f"if t{s} or (kc{s} & live):"
-                          if s in carry_slots else f"if t{s}:")
-                add(B + "    " + member)
-                add(B + f"        t{s} = 0")
-                add(B + f"        tb{s} = 1")
-                add(B + "        ticked = 1")
-                add(B + f"        tgb{g} = 1")
-                for line in tk:
-                    add(B + "        " + line)
-
-        # -- pass 2: recompute ticked units' signals -----------------------
-        add(B + "if ticked:")
-        for g, ss in enumerate(tick_groups):
-            add(B + f"    if tgb{g}:")
-            add(B + f"        tgb{g} = 0")
-            for s in ss:
-                u = units[s]
-                pk = MASK_TICK_BLOCKS[type(u)][1](
-                    s, u, in_chs[s], out_chs[s], schedule
-                )
-                add(B + f"        if tb{s}:")
-                add(B + f"            tb{s} = 0")
-                for line in pk:
-                    add(B + "            " + line)
-        if carry_slots:
-            add(B + "    kany = "
-                + " | ".join(f"kc{s}" for s in carry_slots))
-
-    add(B + "quiet = 0 if (fires or ticked) else 1")
-    add(B + "idle = 0 if progress else idle + 1")
-    add(B + "cycle += 1")
-    add(B + "if idle >= window:")
-    add(B + "    status = 2")
-    add(B + "    break")
-
-    # -- epilogue ----------------------------------------------------------
-    add(P + "for _p in range(len(VP)):")
-    add(P + "    _x = VP[_p]")
-    add(P + "    while _x:")
-    add(P + "        _b = _x & -_x")
-    add(P + "        _x &= _x - 1")
-    add(P + "        LF[_b.bit_length() - 1] += 1 << _p")
-    _pack(L, [f"MV[{c}] = v{c}; MR[{c}] = r{c}; D[{c}] = d{c}"
-              for c in live], P, per=2)
-    _pack(L, [f"A[{k}] = a{k}" for k in range(n_occ)], P)
-    wbacks: List[str] = []
-    for s, u in enumerate(units):
-        for nm in mask_int_names(u):
-            wbacks.append(f"MS[{s}][{nm!r}] = {mask_local(nm, s)}")
-    _pack(L, wbacks, P, per=4)
-    add(P + "rt.cycle = cycle")
-    add(P + "rt._idle_cycles = idle")
-    add(P + "rt.total_fires = total_fires")
-    add(P + "rt._quiet = quiet")
-    add(P + "rt._live = live")
-    add(P + "rt._fa = fa")
-    add(P + "rt.done_mask = FULL & ~live")
-    add(P + "return status, fires")
-    add("")
-    add("    return mloop")
-    add("")
-    return "\n".join(L)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ persistent local ``k{slot}``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional
+from typing import List
 
 from ..circuit import (
     ArbiterMerge,
@@ -665,8 +664,8 @@ def post_store_port(s, u, ic, oc, sched) -> List[str]:
 #
 # * **data entering control** (Branch condition, Mux/Demux select): the
 #   per-lane values must agree in effect; a disagreement raises
-#   :class:`~repro.errors.LaneDivergence`, which the batched engine turns
-#   into a bit-exact per-lane scalar re-execution.
+#   :class:`~repro.errors.LaneDivergence`, which ends the batch; the
+#   kernel runner then reruns each lane's input set on scalar codegen.
 # * **scalar data sources** (Sequence values, ArbiterMerge/FixedOrderMerge
 #   select outputs): broadcast to lane tuples via constants prepared in
 #   the generated prologue (``usq{s}``/``lsel{s}``; ``uv{s}`` is simply
@@ -1001,805 +1000,3 @@ LANE_TICK_BLOCKS.update({
     LoadPort: (lane_tick_load_port, post_load_port),
     StorePort: (lane_tick_store_port, post_store_port),
 })
-
-
-# ---------------------------------------------------------------------------
-# Mask-lane (MIMD) block variants.
-#
-# After the first data→control divergence the batched engine *promotes*
-# the whole pass from lockstep to mask mode (``make_mask_loop`` in the
-# same generated module) instead of falling back to scalar.  The signal
-# representation changes:
-#
-# * every 1-bit control signal — ``v{c}``, ``r{c}``, fire bits — becomes
-#   a **lane bitmask integer** (bit ``l`` = lane ``l``), so control
-#   algebra is pure bitwise arithmetic on big ints (``nv = va & vb``,
-#   ``sf = (sf | fired) & ~fi``, ...);
-# * every data local is **always** a full-width lane tuple (``ztup``,
-#   a shared ``(None,) * LB``, stands in where no lane is valid); a
-#   lane's slot is meaningful only where the channel's valid bit is set;
-# * per-unit sequential state is **per lane**: queues are lists of
-#   ``LB`` deques, counters lists of ``LB`` ints, pipelines lists of
-#   ``LB`` stage lists — held in per-slot dicts (``rt._mstate``) built
-#   by :func:`mask_state` at promotion, with derived occupancy *masks*
-#   (``qn``/``qf``/``cz``/``env``/``sqv``/``hv``/``kc``/``sf``/``fs``)
-#   maintained incrementally so the combinational pass stays bitwise;
-# * clock-edge blocks iterate **set bits only** (``_b = _m & -_m``), so
-#   per-cycle data work is proportional to the lanes that actually
-#   fired, and everything is gated by the ``live`` mask — a lane whose
-#   ``done`` predicate held has its bit cleared and coasts with frozen
-#   state instead of aborting the batch.
-#
-# Exactness: in any lane ``l``, the projections of these masks/tuples
-# evolve exactly like the scalar engine's signals on that lane's inputs
-# (each emitter is the scalar emitter's logic applied lane-wise), so a
-# mask-mode batch is bit-identical to B scalar runs — including after a
-# mid-cycle promotion, because the combinational pass never mutates unit
-# state and re-arming every activation flag recomputes the fixpoint from
-# scratch, exactly like engine initialization does.
-# ---------------------------------------------------------------------------
-
-
-def _bitloop(mask_expr: str, body: List[str]) -> List[str]:
-    """Iterate the set bits of ``mask_expr``: ``_b`` = bit, ``_i`` = lane."""
-    lines = [f"_m = {mask_expr}", "while _m:",
-             "    _b = _m & -_m", "    _m &= _m - 1",
-             "    _i = _b.bit_length() - 1"]
-    lines += ["    " + x for x in body]
-    return lines
-
-
-def _blend_fill(sources) -> List[str]:
-    """Fill the preallocated ``_l`` list per (mask_expr, lane_expr)."""
-    lines: List[str] = []
-    for mask, expr in sources:
-        lines += _bitloop(mask, [f"_l[_i] = {expr}"])
-    return lines
-
-
-def _mand(exprs) -> str:
-    """Bitwise-AND expression over ``exprs`` (``FULL`` when empty)."""
-    return " & ".join(exprs) if exprs else "FULL"
-
-
-def mask_eval_elastic_buffer(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"nv = qn{s}", f"nd = tuple(qh{s}) if nv else ztup"]
-    lines += _fwd_change(sched, co)
-    lines += [f"nr = FULL & ~qf{s}"]
-    lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_transparent_fifo(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"_qn = qn{s}", f"nv = _qn | (v{ci} & ~_qn)"]
-    # Partial-occupancy blend: start from the denser side (C-speed list
-    # copy) and patch only the sparse side's lanes, instead of a
-    # per-lane conditional over all LB lanes.
-    lines += ["if _qn == 0:", f"    nd = d{ci} if nv else ztup",
-              "elif _qn == FULL:", f"    nd = tuple(qh{s})",
-              "else:",
-              f"    _dc = d{ci}", f"    _qh = qh{s}",
-              "    _em = FULL & ~_qn",
-              "    if _em.bit_count() <= _qn.bit_count():",
-              "        _l = list(_qh)"]
-    lines += ["        " + x for x in _bitloop("_em", ["_l[_i] = _dc[_i]"])]
-    lines += ["    else:",
-              "        _l = list(_dc)"]
-    lines += ["        " + x for x in _bitloop("_qn", ["_l[_i] = _qh[_i]"])]
-    lines += ["    nd = tuple(_l)"]
-    lines += _fwd_change(sched, co)
-    lines += [f"nr = FULL & ~qf{s}"]
-    lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_credit_counter(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"nv = cz{s}"]
-    lines += [f"if v{co} != nv:", f"    v{co} = nv", f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
-    lines += [f"if r{ci} != FULL:", f"    r{ci} = FULL",
-              f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
-    return lines
-
-
-def mask_eval_entry(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    lines = [f"nv = env{s}", f"nd = uv{s}"]
-    lines += _fwd_change(sched, co)
-    return lines
-
-
-def mask_eval_sequence(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    lines = [f"nv = sqv{s}", f"nd = tuple(sqh{s}) if nv else ztup"]
-    lines += _fwd_change(sched, co)
-    return lines
-
-
-def mask_eval_sink(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    lines = [f"if r{ci} != FULL:", f"    r{ci} = FULL",
-             f"    {_fire_flag(ci)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.b_act[ci])]
-    return lines
-
-
-def mask_eval_constant(s, u, ic, oc, sched) -> List[str]:
-    # Pure mask pass-through: the scalar emitter's statements are already
-    # lane-exact when v/r are masks and ``uv`` is a broadcast tuple.
-    return eval_constant(s, u, ic, oc, sched)
-
-
-def mask_eval_eager_fork(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    lines = [f"iv = v{ci}", f"nd = d{ci}"]
-    for i, co in enumerate(oc):
-        lines += [f"nv = iv & ~sf{s}_{i}"]
-        lines += _fwd_change(sched, co)
-    terms = " & ".join(f"(sf{s}_{i} | r{co})" for i, co in enumerate(oc))
-    lines += [f"nr = {terms}"]
-    lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_lazy_fork(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    lines = [f"iv = v{ci}", f"nd = d{ci}"]
-    for i, co in enumerate(oc):
-        others = _mand([f"r{c2}" for j, c2 in enumerate(oc) if j != i])
-        lines += [f"nv = iv & {others}"]
-        lines += _fwd_change(sched, co)
-    lines += [f"nr = {_mand([f'r{c2}' for c2 in oc])}"]
-    lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_join(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    lines = [f"av = {_mand([f'v{c}' for c in ic])}"]
-    if u.data_mode == "tuple":
-        args = ", ".join(f"d{c}" for c in ic[: u.n_bundle])
-        lines += ["if av:", f"    nd = tuple(zip({args}))",
-                  "else:", "    nd = ztup"]
-    else:
-        lines += [f"nd = d{ic[0]}"]
-    lines += ["nv = av"]
-    lines += _fwd_change(sched, co)
-    lines += [f"ordy = r{co}"]
-    for i, ci in enumerate(ic):
-        others = [f"v{c}" for j, c in enumerate(ic) if j != i]
-        lines += [f"nr = {_mand(['ordy'] + others)}"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_merge(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    lines = ["_t = 0"]
-    for i, c in enumerate(ic):
-        lines += [f"p{i} = v{c} & ~_t", f"_t |= v{c}"]
-    lines += ["nv = _t"]
-    lines += ["if nv == p0:", f"    nd = d{ic[0]} if nv else ztup",
-              "else:", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"p{i}", f"d{c}[_i]") for i, c in enumerate(ic)]
-    )]
-    lines += ["    nd = tuple(_l)"]
-    lines += _fwd_change(sched, co)
-    lines += [f"ordy = r{co}"]
-    for i, ci in enumerate(ic):
-        lines += [f"nr = ordy & p{i}"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_arbiter_merge(s, u, ic, oc, sched) -> List[str]:
-    o0, o1 = oc
-    first = u.priority[0]
-    lines = ["_t = 0"]
-    for i in u.priority:
-        lines += [f"p{i} = v{ic[i]} & ~_t", f"_t |= v{ic[i]}"]
-    lines += ["found = _t", f"ro0 = r{o0}", f"ro1 = r{o1}"]
-    lines += ["if found == 0:", "    sd = ztup", "    si = ztup",
-              f"elif p{first} == found:", f"    sd = d{ic[first]}",
-              f"    si = lsel{s}[{first}]",
-              "else:", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"p{i}", f"d{ic[i]}[_i]") for i in range(u.n_in)]
-    )]
-    lines += ["    sd = tuple(_l)", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"p{i}", str(i)) for i in range(u.n_in)]
-    )]
-    lines += ["    si = tuple(_l)"]
-    lines += ["nv = found & ro1", "nd = sd"]
-    lines += _fwd_change(sched, o0)
-    lines += ["nv = found & ro0", "nd = si"]
-    lines += _fwd_change(sched, o1)
-    lines += ["g = ro0 & ro1"]
-    for i, ci in enumerate(ic):
-        lines += [f"nr = g & p{i}"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_fixed_order_merge(s, u, ic, oc, sched) -> List[str]:
-    o0, o1 = oc
-    terms = " | ".join(
-        f"(fs{s}_{i} & v{c})" for i, c in enumerate(ic)
-    )
-    lines = [f"sv = {terms}", f"ro0 = r{o0}", f"ro1 = r{o1}"]
-    lines += ["if sv == 0:", "    sd = ztup", "    si = ztup"]
-    for i, c in enumerate(ic):
-        lines += [f"elif fs{s}_{i} == FULL:", f"    sd = d{c}",
-                  f"    si = lsel{s}[{i}]"]
-    lines += ["else:", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"fs{s}_{i} & sv", f"d{c}[_i]") for i, c in enumerate(ic)]
-    )]
-    lines += ["    sd = tuple(_l)", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"fs{s}_{i} & sv", str(i)) for i in range(u.n_in)]
-    )]
-    lines += ["    si = tuple(_l)"]
-    lines += ["nv = sv & ro1", "nd = sd"]
-    lines += _fwd_change(sched, o0)
-    lines += ["nv = sv & ro0", "nd = si"]
-    lines += _fwd_change(sched, o1)
-    lines += ["g = ro0 & ro1"]
-    for i, ci in enumerate(ic):
-        lines += [f"nr = g & fs{s}_{i} & v{ci}"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_mux(s, u, ic, oc, sched) -> List[str]:
-    cs = ic[0]
-    dchs = ic[1:]
-    co = oc[0]
-    n = u.n_data
-    lines = [f"svm = v{cs}", f"_sm = [0] * {n}"]
-    scan = _bitloop("svm", [
-        "_j = int(_x[_i])",
-        f"if not 0 <= _j < {n}:",
-        "    raise CircuitError(",
-        f"        \"mux {u.name!r}: select value %d out of range\" % _j)",
-        "_sm[_j] |= _b",
-    ])
-    lines += ["if svm:", f"    _x = d{cs}"]
-    lines += ["    " + x for x in scan]
-    dv_terms = " | ".join(
-        f"(_sm[{i}] & v{c})" for i, c in enumerate(dchs)
-    )
-    lines += [f"dvm = {dv_terms}", "nv = dvm"]
-    lines += ["if dvm == 0:", "    nd = ztup"]
-    for i, c in enumerate(dchs):
-        lines += [f"elif _sm[{i}] == svm:", f"    nd = d{c}"]
-    lines += ["else:", "    _l = [None] * LB"]
-    lines += ["    " + x for x in _blend_fill(
-        [(f"_sm[{i}] & v{c}", f"d{c}[_i]") for i, c in enumerate(dchs)]
-    )]
-    lines += ["    nd = tuple(_l)"]
-    lines += _fwd_change(sched, co)
-    lines += [f"ordy = r{co}", "nr = ordy & dvm"]
-    lines += _bwd_change(sched, cs)
-    for i, ci in enumerate(dchs):
-        lines += [f"nr = ordy & _sm[{i}]"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_branch(s, u, ic, oc, sched) -> List[str]:
-    cc, cd = ic
-    ot, of_ = oc
-    lines = [f"cvm = v{cc}", f"dvm = v{cd}", "both = cvm & dvm", "tm = 0"]
-    scan = _bitloop("cvm", ["if _x[_i]:", "    tm |= _b"])
-    lines += ["if cvm:", f"    _x = d{cc}",
-              "    if cvm == FULL and all(_x):",
-              "        tm = FULL",
-              "    elif not (cvm == FULL and not any(_x)):"]
-    lines += ["        " + x for x in scan]
-    lines += ["fm = cvm & ~tm", f"nd = d{cd}"]
-    lines += ["nv = both & tm"]
-    lines += _fwd_change(sched, ot)
-    lines += ["nv = both & fm"]
-    lines += _fwd_change(sched, of_)
-    lines += [f"tr = (tm & r{ot}) | (fm & r{of_})"]
-    lines += ["nr = dvm & tr"]
-    lines += _bwd_change(sched, cc)
-    lines += ["nr = cvm & tr"]
-    lines += _bwd_change(sched, cd)
-    return lines
-
-
-def mask_eval_demux(s, u, ic, oc, sched) -> List[str]:
-    ci0, ci1 = ic
-    n = u.n_out
-    lines = [f"svm = v{ci0}", f"dvm = v{ci1}", "both = svm & dvm",
-             f"_sm = [0] * {n}"]
-    scan = _bitloop("svm", [
-        "_j = int(_x[_i])",
-        f"if not 0 <= _j < {n}:",
-        "    raise CircuitError(",
-        f"        \"demux {u.name!r}: index %d out of range\" % _j)",
-        "_sm[_j] |= _b",
-    ])
-    lines += ["if svm:", f"    _x = d{ci0}"]
-    lines += ["    " + x for x in scan]
-    lines += [f"nd = d{ci1}"]
-    for i, co in enumerate(oc):
-        lines += [f"nv = both & _sm[{i}]"]
-        lines += _fwd_change(sched, co)
-    tr = " | ".join(f"(_sm[{i}] & r{co})" for i, co in enumerate(oc))
-    lines += [f"tr = {tr}"]
-    lines += ["nr = dvm & tr"]
-    lines += _bwd_change(sched, ci0)
-    lines += ["nr = svm & tr"]
-    lines += _bwd_change(sched, ci1)
-    return lines
-
-
-def _mask_fu_lane_expr(s, u, ics) -> List[str]:
-    """Statements computing one lane's FU result into ``_l[_i]``."""
-    if u.bundled:
-        return [f"_t = d{ics[0]}[_i]",
-                f"_l[_i] = cp{s}(_t if isinstance(_t, tuple) else (_t,))"]
-    parts = []
-    live = 0
-    for slot in range(u.spec.n_in):
-        if slot in u.const_ops:
-            parts.append(f"uc{s}_{slot}")
-        else:
-            parts.append(f"d{ics[live]}[_i]")
-            live += 1
-    tup = ", ".join(parts) + ("," if len(parts) == 1 else "")
-    return [f"_l[_i] = cp{s}(({tup}))"]
-
-
-def mask_eval_functional(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    if u.latency == 0:
-        lines = [f"av = {_mand([f'v{c}' for c in ic])}", "nv = av"]
-        lines += ["if av == 0:", "    nd = ztup", "elif av == FULL:"]
-        lines += ["    " + x for x in _lane_fu_compute(s, u, ic)]
-        lines += ["else:", "    _l = [None] * LB"]
-        lines += ["    " + x
-                  for x in _bitloop("av", _mask_fu_lane_expr(s, u, ic))]
-        lines += ["    nd = tuple(_l)"]
-        lines += _fwd_change(sched, co)
-        lines += [f"ordy = r{co}"]
-        for i, ci in enumerate(ic):
-            others = [f"v{c}" for j, c in enumerate(ic) if j != i]
-            lines += [f"nr = {_mand(['ordy'] + others)}"]
-            lines += _bwd_change(sched, ci)
-        return lines
-
-    lines = [f"nv = hv{s}", f"nd = tuple(ph{s}) if nv else ztup"]
-    lines += _fwd_change(sched, co)
-    lines += [f"advm = r{co} | (FULL & ~hv{s})"]
-    for i, ci in enumerate(ic):
-        others = [f"v{c}" for j, c in enumerate(ic) if j != i]
-        lines += [f"nr = {_mand(['advm'] + others)}"]
-        lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_load_port(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"nv = hv{s}", f"nd = tuple(ph{s}) if nv else ztup"]
-    lines += _fwd_change(sched, co)
-    lines += [f"nr = r{co} | (FULL & ~hv{s})"]
-    lines += _bwd_change(sched, ci)
-    return lines
-
-
-def mask_eval_store_port(s, u, ic, oc, sched) -> List[str]:
-    ca, cd = ic
-    co = oc[0]
-    lines = [f"nv = hv{s}"]
-    lines += [f"if v{co} != nv:", f"    v{co} = nv", f"    d{co} = ztup",
-              f"    {_fire_flag(co)}"]
-    lines += [f"    {x}" for x in _acts(sched, sched.f_act[co])]
-    lines += [f"advm = r{co} | (FULL & ~hv{s})"]
-    lines += [f"nr = advm & v{cd}"]
-    lines += _bwd_change(sched, ca)
-    lines += [f"nr = advm & v{ca}"]
-    lines += _bwd_change(sched, cd)
-    return lines
-
-
-# -- mask clock-edge blocks -------------------------------------------------
-
-
-def mask_tick_elastic_buffer(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"fo = v{co} & r{co} & live", f"fi = v{ci} & r{ci} & live"]
-    pop_body = [
-        f"_ql = q{s}[_i]",
-        "_ql.popleft()",
-        "if _ql:",
-        "    _h[_i] = _ql[0]",
-        "else:",
-        "    _h[_i] = None",
-        f"    qn{s} &= ~_b",
-    ]
-    lines += ["if fo:", f"    _h = qh{s}"]
-    lines += ["    " + x for x in _bitloop("fo", pop_body)]
-    lines += [f"    qf{s} &= ~fo"]
-    app_body = [
-        f"_ql = q{s}[_i]",
-        "_ql.append(_d[_i])",
-        "if len(_ql) == 1:",
-        "    _h[_i] = _d[_i]",
-        f"    qn{s} |= _b",
-        f"if len(_ql) == {u.slots}:",
-        f"    qf{s} |= _b",
-    ]
-    lines += ["if fi:", f"    _h = qh{s}", f"    _d = d{ci}"]
-    lines += ["    " + x for x in _bitloop("fi", app_body)]
-    return lines
-
-
-def mask_tick_transparent_fifo(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    lines = [f"fo = v{co} & r{co} & live", f"fi = v{ci} & r{ci} & live",
-             f"_qn0 = qn{s}",
-             "pm = _qn0 & fo",
-             "am = fi & (_qn0 | (FULL & ~fo))"]
-    pop_body = [
-        f"_ql = q{s}[_i]",
-        "_ql.popleft()",
-        "if _ql:",
-        "    _h[_i] = _ql[0]",
-        "else:",
-        "    _h[_i] = None",
-        f"    qn{s} &= ~_b",
-    ]
-    lines += ["if pm:", f"    _h = qh{s}"]
-    lines += ["    " + x for x in _bitloop("pm", pop_body)]
-    lines += [f"    qf{s} &= ~pm"]
-    app_body = [
-        f"_ql = q{s}[_i]",
-        "_ql.append(_d[_i])",
-        "if len(_ql) == 1:",
-        "    _h[_i] = _d[_i]",
-        f"    qn{s} |= _b",
-        f"if len(_ql) == {u.slots}:",
-        f"    qf{s} |= _b",
-    ]
-    lines += ["if am:", f"    _h = qh{s}", f"    _d = d{ci}"]
-    lines += ["    " + x for x in _bitloop("am", app_body)]
-    return lines
-
-
-def mask_tick_credit_counter(s, u, ic, oc, sched) -> List[str]:
-    ci, co = ic[0], oc[0]
-    initial = u.initial
-    body = [
-        f"_x = c{s}[_i]",
-        "if fo & _b:",
-        "    _x -= 1",
-        "if fi & _b:",
-        "    _x += 1",
-        f"c{s}[_i] = _x",
-        "if _x:",
-        f"    cz{s} |= _b",
-        "else:",
-        f"    cz{s} &= ~_b",
-        f"if not 0 <= _x <= {initial}:",
-        "    raise CircuitError(",
-        f"        \"credit counter {u.name!r}: count %d escaped \"",
-        f"        \"[0, {initial}] -- more credits returned than granted\""
-        " % _x)",
-    ]
-    lines = [f"fo = v{co} & r{co} & live", f"fi = v{ci} & r{ci} & live",
-             "if fo | fi:"]
-    lines += ["    " + x for x in _bitloop("fo | fi", body)]
-    return lines
-
-
-def mask_tick_entry(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    body = [f"_x = rem{s}[_i] - 1", f"rem{s}[_i] = _x",
-            "if not _x:", f"    env{s} &= ~_b"]
-    lines = [f"fo = v{co} & r{co} & live", "if fo:"]
-    lines += ["    " + x for x in _bitloop("fo", body)]
-    return lines
-
-
-def mask_tick_sequence(s, u, ic, oc, sched) -> List[str]:
-    co = oc[0]
-    body = [f"_x = pos{s}[_i] + 1", f"pos{s}[_i] = _x",
-            f"if _x < len(uvq{s}):",
-            f"    sqh{s}[_i] = uvq{s}[_x]",
-            "else:",
-            f"    sqh{s}[_i] = None",
-            f"    sqv{s} &= ~_b"]
-    lines = [f"fo = v{co} & r{co} & live", "if fo:"]
-    lines += ["    " + x for x in _bitloop("fo", body)]
-    return lines
-
-
-def mask_tick_sink(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    lines = [f"fi = v{ci} & r{ci} & live", "if fi:", f"    _d = d{ci}"]
-    lines += ["    " + x
-              for x in _bitloop("fi", [f"recv{s}[_i].append(_d[_i])"])]
-    return lines
-
-
-def mask_tick_eager_fork(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    lines = [f"fi = v{ci} & r{ci} & live"]
-    for i, co in enumerate(oc):
-        lines += [f"sf{s}_{i} = (sf{s}_{i} | (v{co} & r{co} & live))"
-                  " & ~fi"]
-    return lines
-
-
-def mask_tick_fixed_order_merge(s, u, ic, oc, sched) -> List[str]:
-    length = len(u.order)
-    terms = " | ".join(
-        f"(fs{s}_{i} & v{c} & r{c})" for i, c in enumerate(ic)
-    )
-    body = [f"_x = (pos{s}[_i] + 1) % {length}", f"pos{s}[_i] = _x"]
-    for i in range(u.n_in):
-        kw = "if" if i == 0 else "elif"
-        body += [f"{kw} fs{s}_{i} & _b:", f"    fs{s}_{i} &= ~_b"]
-    body += [f"_n = uord{s}[_x]"]
-    for i in range(u.n_in):
-        kw = "if" if i == 0 else "elif"
-        body += [f"{kw} _n == {i}:", f"    fs{s}_{i} |= _b"]
-    lines = [f"ff = ({terms}) & live", "if ff:"]
-    lines += ["    " + x for x in _bitloop("ff", body)]
-    return lines
-
-
-def _mask_pipe_shift(s, u, oc, fire_ch, new_body) -> List[str]:
-    """Per-lane stall-or-shift for pipelined units under the live mask.
-
-    ``new_body`` computes the firing lane's new stage value into ``_nw``
-    (lane index ``_i``); non-shifting (stalled or dead) lanes keep their
-    pipes, exactly like the scalar skeleton.  Lanes with an empty pipe
-    and no arriving token are excluded up front — their shift would
-    push ``None`` through ``None``s, an identity — so a single busy
-    lane never drags the whole batch through per-lane list traffic.
-    """
-    co = oc[0]
-    body = ["if fi & _b:"]
-    body += ["    " + x for x in new_body]
-    body += ["else:", "    _nw = None",
-             f"_pl = pipe{s}[_i]",
-             "_pl.insert(0, _nw)",
-             "_ov = _pl.pop()",
-             f"_c = pn{s}[_i]",
-             "if _nw is not None:",
-             "    _c += 1",
-             "if _ov is not None:",
-             "    _c -= 1",
-             f"pn{s}[_i] = _c",
-             "_hd = _pl[-1]",
-             f"ph{s}[_i] = _hd",
-             "if _hd is not None:",
-             f"    hv{s} |= _b",
-             f"    kc{s} &= ~_b",
-             "elif _c:",
-             f"    hv{s} &= ~_b",
-             f"    kc{s} |= _b",
-             "else:",
-             f"    hv{s} &= ~_b",
-             f"    kc{s} &= ~_b"]
-    lines = [f"fo = v{co} & r{co} & live",
-             f"fi = v{fire_ch} & r{fire_ch} & live",
-             f"sh = live & (fo | (FULL & ~hv{s})) & (fo | fi | kc{s})",
-             "if sh:"]
-    lines += ["    " + x for x in _bitloop("sh", body)]
-    return lines
-
-
-def mask_tick_functional(s, u, ic, oc, sched) -> List[str]:
-    if u.bundled:
-        new_body = [f"_t = d{ic[0]}[_i]",
-                    f"_nw = cp{s}(_t if isinstance(_t, tuple) else (_t,))"]
-    else:
-        parts = []
-        live_in = 0
-        for slot in range(u.spec.n_in):
-            if slot in u.const_ops:
-                parts.append(f"uc{s}_{slot}")
-            else:
-                parts.append(f"d{ic[live_in]}[_i]")
-                live_in += 1
-        tup = ", ".join(parts) + ("," if len(parts) == 1 else "")
-        new_body = [f"_nw = cp{s}(({tup}))"]
-    return _mask_pipe_shift(s, u, oc, ic[0], new_body)
-
-
-def mask_tick_load_port(s, u, ic, oc, sched) -> List[str]:
-    ci = ic[0]
-    new_body = [f"_nw = mrd[_i]({u.array!r}, int(d{ci}[_i]))"]
-    return _mask_pipe_shift(s, u, oc, ci, new_body)
-
-
-def mask_tick_store_port(s, u, ic, oc, sched) -> List[str]:
-    ca, cd = ic
-    new_body = [f"mwr[_i]({u.array!r}, int(d{ca}[_i]), d{cd}[_i])",
-                "_nw = True"]
-    return _mask_pipe_shift(s, u, oc, ca, new_body)
-
-
-#: Mask-mode combinational emitters (complete: every catalogue type).
-MASK_EVAL_BLOCKS = {
-    ElasticBuffer: mask_eval_elastic_buffer,
-    TransparentFifo: mask_eval_transparent_fifo,
-    CreditCounter: mask_eval_credit_counter,
-    Entry: mask_eval_entry,
-    Sequence: mask_eval_sequence,
-    Sink: mask_eval_sink,
-    Constant: mask_eval_constant,
-    EagerFork: mask_eval_eager_fork,
-    LazyFork: mask_eval_lazy_fork,
-    Join: mask_eval_join,
-    Merge: mask_eval_merge,
-    ArbiterMerge: mask_eval_arbiter_merge,
-    FixedOrderMerge: mask_eval_fixed_order_merge,
-    Mux: mask_eval_mux,
-    Branch: mask_eval_branch,
-    Demux: mask_eval_demux,
-    FunctionalUnit: mask_eval_functional,
-    LoadPort: mask_eval_load_port,
-    StorePort: mask_eval_store_port,
-}
-
-#: Mask-mode clock-edge (apply, post) emitters; the post pass is the
-#: mask eval block (idempotent recompute; carries refresh in the apply).
-MASK_TICK_BLOCKS = {
-    ElasticBuffer: (mask_tick_elastic_buffer, mask_eval_elastic_buffer),
-    TransparentFifo: (mask_tick_transparent_fifo,
-                      mask_eval_transparent_fifo),
-    CreditCounter: (mask_tick_credit_counter, mask_eval_credit_counter),
-    Entry: (mask_tick_entry, mask_eval_entry),
-    Sequence: (mask_tick_sequence, mask_eval_sequence),
-    Sink: (mask_tick_sink, mask_eval_sink),
-    EagerFork: (mask_tick_eager_fork, mask_eval_eager_fork),
-    FixedOrderMerge: (mask_tick_fixed_order_merge,
-                      mask_eval_fixed_order_merge),
-    FunctionalUnit: (mask_tick_functional, mask_eval_functional),
-    LoadPort: (mask_tick_load_port, mask_eval_load_port),
-    StorePort: (mask_tick_store_port, mask_eval_store_port),
-}
-
-assert set(MASK_EVAL_BLOCKS) == set(EVAL_BLOCKS)
-assert set(MASK_TICK_BLOCKS) == set(TICK_BLOCKS)
-
-
-# -- mask state: per-slot dict contract + promotion transform ---------------
-
-
-def mask_int_names(u) -> List[str]:
-    """Persisted bitmask locals of unit ``u`` (dict key = local suffix).
-
-    These are loaded into loop locals in the mask-loop prologue and
-    written back in its epilogue; list-valued state (queues, heads,
-    counters, pipes) is mutated in place and needs no sync.
-    """
-    if isinstance(u, (ElasticBuffer, TransparentFifo)):
-        return ["qn", "qf"]
-    if isinstance(u, CreditCounter):
-        return ["cz"]
-    if isinstance(u, Entry):
-        return ["env"]
-    if isinstance(u, Sequence):
-        return ["sqv"]
-    if isinstance(u, EagerFork):
-        return [f"sf_{i}" for i in range(u.n_out)]
-    if isinstance(u, FixedOrderMerge):
-        return [f"fs_{i}" for i in range(u.n_in)]
-    if isinstance(u, (LoadPort, StorePort)):
-        return ["hv", "kc"]
-    if isinstance(u, FunctionalUnit) and u.latency > 0:
-        return ["hv", "kc"]
-    return []
-
-
-def mask_obj_names(u) -> List[str]:
-    """In-place (list-valued) mask-state members of unit ``u``."""
-    if isinstance(u, (ElasticBuffer, TransparentFifo)):
-        return ["q", "qh"]
-    if isinstance(u, CreditCounter):
-        return ["c"]
-    if isinstance(u, Entry):
-        return ["rem"]
-    if isinstance(u, Sequence):
-        return ["pos", "sqh"]
-    if isinstance(u, Sink):
-        return ["recv"]
-    if isinstance(u, FixedOrderMerge):
-        return ["pos"]
-    if isinstance(u, (LoadPort, StorePort)):
-        return ["pipe", "ph", "pn"]
-    if isinstance(u, FunctionalUnit) and u.latency > 0:
-        return ["pipe", "ph", "pn"]
-    return []
-
-
-def mask_local(name: str, s: int) -> str:
-    """Loop-local spelling of mask-state member ``name`` of slot ``s``
-    (``"qn"`` → ``qn{s}``, indexed ``"sf_0"`` → ``sf{s}_0``)."""
-    if "_" in name:
-        head, tail = name.split("_", 1)
-        return f"{head}{s}_{tail}"
-    return f"{name}{s}"
-
-
-def _lval(e, lane: int):
-    """Lane projection of a lockstep datum (lane tuple or shared scalar)."""
-    return e[lane] if type(e) is tuple else e
-
-
-def mask_state(u, lb: int, full: int) -> Optional[dict]:
-    """Per-lane mask state of ``u``, promoted from its lockstep state.
-
-    Called at the lockstep→mask promotion point: the unit holds valid
-    lockstep state (every lane identical up to the per-lane data slots of
-    its queued/piped lane tuples), and the returned dict seeds the
-    mask-loop locals declared by :func:`mask_int_names` /
-    :func:`mask_obj_names`.  Returns ``None`` for stateless types.
-    """
-    if isinstance(u, (ElasticBuffer, TransparentFifo)):
-        qs = [deque(_lval(e, l) for e in u._q) for l in range(lb)]
-        return {
-            "q": qs,
-            "qh": [q[0] if q else None for q in qs],
-            "qn": full if u._q else 0,
-            "qf": full if len(u._q) >= u.slots else 0,
-        }
-    if isinstance(u, CreditCounter):
-        return {"c": [u._count] * lb,
-                "cz": full if u._count > 0 else 0}
-    if isinstance(u, Entry):
-        return {"rem": [u._remaining] * lb,
-                "env": full if u._remaining > 0 else 0}
-    if isinstance(u, Sequence):
-        p = u._pos
-        head = u.values[p] if p < len(u.values) else None
-        return {"pos": [p] * lb, "sqh": [head] * lb,
-                "sqv": full if p < len(u.values) else 0}
-    if isinstance(u, Sink):
-        return {"recv": [[_lval(e, l) for e in u.received]
-                         for l in range(lb)]}
-    if isinstance(u, EagerFork):
-        return {f"sf_{i}": (full if sent else 0)
-                for i, sent in enumerate(u._sent)}
-    if isinstance(u, FixedOrderMerge):
-        sel = u.order[u._pos]
-        state = {f"fs_{i}": (full if i == sel else 0)
-                 for i in range(u.n_in)}
-        state["pos"] = [u._pos] * lb
-        return state
-    if isinstance(u, (LoadPort, StorePort)) or (
-        isinstance(u, FunctionalUnit) and u.latency > 0
-    ):
-        # FU/LoadPort stages are ``(lane_tuple,)``; StorePort stages are
-        # the bare marker ``True`` (no result data).
-        def stage(e, l):
-            if e is None:
-                return None
-            return _lval(e[0], l) if type(e) is tuple else e
-
-        pipes = [[stage(e, l) for e in u._pipe] for l in range(lb)]
-        head = u._pipe[-1]
-        carry = head is None and any(e is not None for e in u._pipe)
-        occupied = sum(1 for e in u._pipe if e is not None)
-        return {
-            "pipe": pipes,
-            "ph": [stage(head, l) for l in range(lb)],
-            "pn": [occupied] * lb,
-            "hv": full if head is not None else 0,
-            "kc": full if carry else 0,
-        }
-    return None

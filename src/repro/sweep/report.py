@@ -21,7 +21,7 @@ CSV_HEADERS = [
     "cached", "dsp", "slices", "lut", "ff", "cp_ns", "cycles",
     "exec_time_us", "opt_time_s", "lint_errors", "lint_warnings",
     "predicted_ii", "flow_diags", "mem_class", "memdep_diags",
-    "sim_backend", "mask_promotions", "divergence",
+    "sim_backend", "divergence",
     "fu_census", "error_type", "error", "wall_time_s", "attempts",
 ]
 
@@ -98,8 +98,7 @@ def record_csv_row(record: SweepRecord) -> List[Any]:
         metric("opt_time_s"), metric("lint_errors"), metric("lint_warnings"),
         metric("predicted_ii"), metric("flow_diags"),
         metric("mem_class"), metric("memdep_diags"),
-        metric("sim_backend"),
-        metric("mask_promotions"), metric("divergence"),
+        metric("sim_backend"), metric("divergence"),
         res.fu_census if res is not None else "",
         record.error_type or "", record.error or "",
         round(record.wall_time_s, 4), record.attempts,

@@ -1,17 +1,23 @@
 """Differential and contract tests for batched (lane-parallel) simulation.
 
-The batched engines (`repro.sim.batched`) promise bit-identical results
-to B scalar runs — per-lane cycle counts, fire counts, memory contents
-and sink values — whether the batch runs lockstep (shared control, lane
-tuples for data) or promotes to mask-lane (MIMD) execution after a
-:class:`LaneDivergence`.  The scalar engines are the oracle.
+The batched engine (`repro.sim.batched`) runs lockstep only: a batch
+that finishes is bit-identical to B scalar runs — per-lane cycle counts,
+fire counts, memory contents and sink values — and a batch whose lanes
+diverge on control raises :class:`LaneDivergence` out of ``run_lanes``.
+``simulate_kernel_batch`` then reruns every seed on scalar codegen, so
+its results are bit-identical either way.  The scalar engines and the
+reference interpreter are the oracles.
 
 Also covered: the observer refusal contract (batched mode rejects
 Trace/SimProfile/sanitizer with clean errors, the profile CLI has no
-``--lanes``) and the codegen disk cache's laned/scalar key separation (a
-laned module must never poison a scalar run, or vice versa).  Sweep-level
-lane batching is tested in ``tests/sweep/test_lanes.py``.
+``--lanes``), the rerun decision log and ``repro run`` execution line,
+and the codegen disk cache's laned/scalar key separation (a laned module
+must never poison a scalar run, or vice versa).  Divergent batches and
+their scalar reruns are tested in ``tests/sim/test_mask_lanes.py``,
+sweep-level lane batching in ``tests/sweep/test_lanes.py``.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -30,7 +36,7 @@ from repro.circuit import (
     TransparentFifo,
 )
 from repro.core import crush
-from repro.errors import SimulationError
+from repro.errors import LaneDivergence, SimulationError
 from repro.frontend import lower_kernel, simulate_kernel, simulate_kernel_batch
 from repro.frontend.interp import run_reference
 from repro.frontend.kernels import KERNEL_NAMES, build
@@ -49,6 +55,8 @@ from repro.sim.signal_graph import compile_schedule
 PAIRS = [(k, t) for k in KERNEL_NAMES for t in TECHNIQUES]
 #: Backend names that build the batched engine.
 LANED_BACKENDS = ("compiled", "codegen")
+#: The data-dependent ``if`` kernels: distinct seeds diverge on control.
+DIVERGENT_KERNELS = ("gsum", "gsumif")
 SHARE = {"naive": naive_share, "inorder": inorder_share, "crush": crush}
 
 #: Distinct input sets; lane l of a B-lane batch simulates SEEDS[l].
@@ -106,33 +114,43 @@ def _run_batched(lowered, seeds, backend):
 
 
 # ---------------------------------------------------------------------------
-# every golden x both laned backend names x B in {1, 2, 7}: bit-identical
-# to scalar
+# every golden x B in {1, 2, 7}: simulate_kernel_batch is bit-identical to
+# scalar runs and to the reference interpreter, lockstep or rerun
+
+
+def _assert_runs_match_scalar(lowered, seeds, runs, label):
+    """Per-lane cycles, fires and arrays equal scalar compiled runs (an
+    engine the batch and its reruns never use) and, bit for bit, the
+    reference interpreter's arrays."""
+    assert len(runs) == len(seeds), label
+    for lane, (seed, run) in enumerate(zip(seeds, runs)):
+        want = simulate_kernel(lowered, seed=seed, backend="compiled")
+        where = f"{label} lane={lane} (seed {seed})"
+        assert run.cycles == want.cycles, where
+        assert run.fires == want.fires, where
+        assert run.checked, where
+        assert run.reference.writes == want.reference.writes, where
+        for name in want.arrays:
+            assert np.array_equal(run.arrays[name], want.arrays[name]), (
+                f"{where}: array {name}")
+            assert np.array_equal(run.arrays[name],
+                                  want.reference.arrays[name]), (
+                f"{where}: array {name} vs reference")
 
 
 @pytest.mark.parametrize("kernel,technique", PAIRS,
                          ids=[f"{k}-{t}" for k, t in PAIRS])
 def test_batched_bit_identical_on_goldens(kernel, technique):
     lowered = _prepare(kernel, technique)
-    scalar = {
-        s: simulate_kernel(lowered, seed=s, backend="compiled")
-        for s in SEEDS[:max(LANE_COUNTS)]
-    }
     for lanes in LANE_COUNTS:
         seeds = SEEDS[:lanes]
-        for backend in LANED_BACKENDS:
-            engine, memories, cycles = _run_batched(lowered, seeds, backend)
-            for lane, seed in enumerate(seeds):
-                want = scalar[seed]
-                label = f"{backend} B={lanes} lane={lane}"
-                assert cycles[lane] == want.cycles, label
-                assert engine.lane_fires[lane] == want.fires, label
-                assert memories[lane].writes == want.reference.writes, label
-                for name in want.arrays:
-                    got = memories[lane].dump(name)
-                    assert np.array_equal(got, want.arrays[name]), (
-                        f"{label}: array {name}"
-                    )
+        runs = simulate_kernel_batch(lowered, seeds, backend="codegen")
+        # Only the data-dependent ``if`` kernels leave lockstep, and a
+        # single lane has nothing to disagree with.
+        rerun = kernel in DIVERGENT_KERNELS and lanes > 1
+        for run in runs:
+            assert (run.divergence is not None) == rerun, (lanes, run)
+        _assert_runs_match_scalar(lowered, seeds, runs, f"B={lanes}")
 
 
 def test_simulate_kernel_batch_matches_scalar_runs():
@@ -162,36 +180,62 @@ def test_run_technique_batch_rows_match_scalar():
 
 
 # ---------------------------------------------------------------------------
-# divergence mechanics (mask promotion, done-mask freezing, per-lane results)
+# divergence: the engine raises, the batch reruns its seeds on scalar codegen
 
 
 def test_lockstep_kernel_runs_without_divergence():
     lowered = _prepare("atax", "crush")
-    engine, _, _ = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.mask_promotions == 0
-    assert engine.divergence is None
-    assert engine.done_mask == 0b111
+    engine, _, cycles = _run_batched(lowered, SEEDS[:3], "codegen")
+    assert len(set(cycles)) == 1
+    assert engine.lane_fires == [engine.total_fires] * 3
 
 
-def test_divergent_kernel_promotes_to_mask_lanes():
+def test_divergent_kernel_raises_lane_divergence():
     # gsumif branches on input data: distinct lanes must diverge, and the
-    # engine must promote to mask-lane execution (no scalar fallback) yet
-    # still deliver bit-exact per-lane results.
+    # engine must end the batch with the site and cycle of the divergence.
     lowered = _prepare("gsumif", "crush")
-    engine, memories, cycles = _run_batched(lowered, SEEDS[:3], "codegen")
-    assert engine.mask_promotions == 1
-    assert engine.divergence is not None
-    assert engine.divergence.channel
-    assert engine.divergence.cycle is not None
-    assert engine.promotion_cycle == engine.divergence.cycle
-    assert engine.done_mask == 0b111
-    for lane, seed in enumerate(SEEDS[:3]):
-        want = simulate_kernel(lowered, seed=seed, backend="codegen")
-        assert cycles[lane] == want.cycles
-        assert engine.lane_fires[lane] == want.fires
-        for name in want.arrays:
-            assert np.array_equal(memories[lane].dump(name),
-                                  want.arrays[name])
+    with pytest.raises(LaneDivergence) as info:
+        _run_batched(lowered, SEEDS[:3], "codegen")
+    exc = info.value
+    assert exc.channel and exc.channel.endswith(".cond")
+    assert exc.cycle is not None and exc.cycle > 0
+    assert len(set(exc.values)) > 1
+    assert f"at cycle {exc.cycle}" in str(exc)
+
+
+def test_rerun_batch_logs_one_decision(caplog):
+    lowered = _prepare("gsumif", "crush")
+    seeds = list(range(100, 108))
+    with caplog.at_level(logging.INFO, logger="repro.sim.batched"):
+        runs = simulate_kernel_batch(lowered, seeds, backend="codegen")
+    reruns = [r.getMessage() for r in caplog.records
+              if r.name == "repro.sim.batched" and "rerun" in r.getMessage()]
+    assert len(reruns) == 1, reruns
+    key = compile_schedule(lowered.circuit).key[:16]
+    assert key in reruns[0]
+    assert runs[0].divergence in reruns[0]
+    assert f"{len(seeds)} seed(s)" in reruns[0]
+
+
+def test_lockstep_batch_logs_no_rerun(caplog):
+    lowered = _prepare("atax", "crush")
+    with caplog.at_level(logging.INFO, logger="repro.sim.batched"):
+        runs = simulate_kernel_batch(lowered, SEEDS[:2], backend="codegen")
+    assert all(run.divergence is None for run in runs)
+    assert not [r for r in caplog.records if "rerun" in r.getMessage()]
+
+
+def test_run_cli_reports_lockstep_and_rerun_batches(capsys):
+    from repro.cli import main
+
+    rc = main(["run", "gsumif", "crush", "--scale", "small",
+               "--seeds", "7,11,100", "--lanes", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    # [7, 11] diverges; [100] is a one-lane batch and stays lockstep.
+    line = next(l for l in out.splitlines() if l.startswith("execution"))
+    assert "lockstep in 1/2 batch(es); scalar rerun in 1 (diverged on " in line
+    assert ".cond@" in line
 
 
 def _chain_circuit(values):
@@ -210,29 +254,28 @@ def _chain_circuit(values):
     return c
 
 
-def test_partial_done_mask_freezes_lanes_via_mask_promotion():
-    # Per-lane done predicates that complete at different times force a
-    # partial done-mask: the engine must freeze early lanes exactly where
-    # a scalar run with the same predicate would stop.
+def test_partial_done_mask_raises_lane_divergence():
+    # Per-lane done predicates that hold at different times give a
+    # partial done-mask: the engine ends the batch in the cycle the
+    # earliest lane stops on its own, naming the lanes that were done.
+    # (Per-lane results after such a batch are checked on every golden
+    # in test_mask_lanes.py.)
     values = [2.0, 3.0, 5.0, 8.0]
     targets = [1, 4, 2]  # lane l is done after targets[l] sink tokens
-    c = _chain_circuit(values)
-    engine = create_engine(c, backend="compiled", lanes=3)
-    cycles = engine.run_lanes(
-        lambda lane: engine.sink_count("out", lane) >= targets[lane],
-        uniform_done=False,
-    )
-    assert engine.mask_promotions == 1  # partial mask -> promotion
-    assert engine.divergence is not None
-    assert engine.divergence.channel == "done"
-    for lane, target in enumerate(targets):
-        c_ref = _chain_circuit(values)
-        ref = create_engine(c_ref, backend="compiled")
-        sink = c_ref.units["out"]
-        ref_cycles = ref.run(lambda: sink.count >= target)
-        assert cycles[lane] == ref_cycles, lane
-        assert engine.sink_count("out", lane) == target
-        assert engine.sink_received("out", lane) == sink.received
+    engine = create_engine(_chain_circuit(values), backend="codegen",
+                           lanes=3)
+    with pytest.raises(LaneDivergence) as info:
+        engine.run_lanes(
+            lambda lane: engine.sink_count("out", lane) >= targets[lane],
+            uniform_done=False,
+        )
+    c_ref = _chain_circuit(values)
+    ref = create_engine(c_ref, backend="codegen")
+    sink = c_ref.units["out"]
+    exc = info.value
+    assert exc.channel == "done"
+    assert exc.values == (True, False, False)
+    assert exc.cycle == ref.run(lambda: sink.count >= 1)
 
 
 # ---------------------------------------------------------------------------
